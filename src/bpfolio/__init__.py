@@ -5,61 +5,18 @@ The package splits into data/model types (`model`), scalar response channels
 solvers (`oracles`), ensemble-level predictions (`theory`), numeric primitives
 (`special`), and the command-line harness (`cli`).
 """
-from .channels import (
-    channel_absolute_deviation,
-    channel_for,
-    channel_generic,
-    channel_mean_variance,
-)
-from .engine import (
-    DivergenceDetected,
-    asset_sweep,
-    default_config,
-    init_state,
-    observables,
-    period_sweep,
-    solve,
-)
+from .engine import DivergenceDetected, default_config, solve
 from .model import (
     ABSOLUTE_DEVIATION,
     MEAN_VARIANCE,
     BpConfig,
-    BpState,
-    CostModel,
-    Diagnostics,
-    ExperimentRecord,
-    Portfolio,
-    ReturnsParseError,
-    ReturnSet,
-    RsSolution,
     generate_returns,
     generic_model,
     load_returns,
     save_returns,
 )
-from .oracles import (
-    OracleConvergenceError,
-    SingularInstanceError,
-    ad_two_asset_kinks,
-    convex_oracle,
-    exact_mean_variance,
-)
-from .special import (
-    QuadratureRule,
-    gauss_hermite_dz,
-    log_gaussian_tail,
-    mills_ratio,
-)
-from .theory import (
-    SpectralStats,
-    annealed_cost,
-    marchenko_pastur,
-    mp_bulk_density,
-    mp_bulk_expectation,
-    portfolio_similarity,
-    rs_closed_form_mv,
-    rs_fixed_point,
-)
+from .oracles import convex_oracle, exact_mean_variance
+from .theory import portfolio_similarity
 
 __version__ = "0.1.0"
 
@@ -67,44 +24,14 @@ __all__ = [
     "ABSOLUTE_DEVIATION",
     "MEAN_VARIANCE",
     "BpConfig",
-    "BpState",
-    "CostModel",
-    "Diagnostics",
     "DivergenceDetected",
-    "ExperimentRecord",
-    "OracleConvergenceError",
-    "Portfolio",
-    "QuadratureRule",
-    "ReturnsParseError",
-    "ReturnSet",
-    "RsSolution",
-    "SingularInstanceError",
-    "SpectralStats",
-    "ad_two_asset_kinks",
-    "annealed_cost",
-    "asset_sweep",
-    "channel_absolute_deviation",
-    "channel_for",
-    "channel_generic",
-    "channel_mean_variance",
     "convex_oracle",
     "default_config",
     "exact_mean_variance",
-    "gauss_hermite_dz",
     "generate_returns",
     "generic_model",
-    "init_state",
     "load_returns",
-    "log_gaussian_tail",
-    "marchenko_pastur",
-    "mills_ratio",
-    "mp_bulk_density",
-    "mp_bulk_expectation",
-    "observables",
-    "period_sweep",
     "portfolio_similarity",
-    "rs_closed_form_mv",
-    "rs_fixed_point",
     "save_returns",
     "solve",
     "__version__",

@@ -91,15 +91,21 @@ def _emit(text: str, out_path: str | None) -> None:
 
 def _cost_from_expression(expression: str):
     """Cost callable from a numpy expression in the scalar/array variable u."""
-    names = {
+    scope = {
+        "__builtins__": {},
         "abs": np.abs, "sqrt": np.sqrt, "exp": np.exp, "log": np.log,
         "log1p": np.log1p, "cosh": np.cosh, "sinh": np.sinh, "tanh": np.tanh,
         "maximum": np.maximum, "minimum": np.minimum, "where": np.where,
         "sign": np.sign, "pi": np.pi, "e": np.e, "np": np,
     }
+    try:
+        code = compile(expression, "<cost-expr>", "eval")
+    except SyntaxError as exc:
+        raise ReturnsParseError(f"--cost-expr {expression!r} is not an expression: "
+                                f"{exc.msg}") from None
 
     def cost(u):
-        return eval(expression, {"__builtins__": {}}, {**names, "u": u})
+        return eval(code, scope, {"u": u})
 
     return cost
 
@@ -109,20 +115,19 @@ def _model_from_args(args) -> CostModel:
         return MEAN_VARIANCE
     if args.model == "ad":
         return ABSOLUTE_DEVIATION
-    if getattr(args, "cost_expr", None) is None:
+    if args.cost_expr is None:
         raise ReturnsParseError("generic model requires --cost-expr")
-    return generic_model(_cost_from_expression(args.cost_expr),
-                         order=getattr(args, "order", 64))
+    return generic_model(_cost_from_expression(args.cost_expr), order=args.order)
 
 
 def _config_from_args(args, model: CostModel):
-    config = engine.default_config(model, getattr(args, "beta", None))
+    config = engine.default_config(model, args.beta)
     overrides = {}
-    if getattr(args, "damping", None) is not None:
+    if args.damping is not None:
         overrides["damping"] = args.damping
-    if getattr(args, "tol", None) is not None:
+    if args.tol is not None:
         overrides["tol"] = args.tol
-    if getattr(args, "max_sweeps", None) is not None:
+    if args.max_sweeps is not None:
         overrides["max_sweeps"] = args.max_sweeps
     return dataclasses.replace(config, **overrides) if overrides else config
 
@@ -173,9 +178,12 @@ def _mean_and_se(values) -> tuple[float, float]:
 
 
 def _replica_overlap(model: CostModel, alpha: float, beta: float) -> float:
-    """Replica overlap q for the sweep column (nan where the fixed point fails)."""
-    if model.kind != "ad":
+    """Replica overlap q for the sweep column: the mv closed form, the ad fixed
+    point (nan where it fails), and nan for a generic cost, which has no theory here."""
+    if model.kind == "mv":
         return alpha / (alpha - 1.0)
+    if model.kind != "ad":
+        return math.nan
     try:
         return theory.rs_fixed_point(alpha, beta, model).q
     except RuntimeError:
@@ -196,6 +204,7 @@ def run_sweep(model: CostModel, alphas, n_assets: int, trials: int, base_seed: i
     absolute-deviation q reference is the replica fixed point at the final
     beta of the solve (the ladder top, 2^20 by default), nan where that fixed
     point does not converge; its eps has no closed form and is reported nan.
+    A generic cost has neither reference, so both columns are nan.
     """
     config = engine.default_config(model, beta)
     lines = [SWEEP_CSV_HEADER]
@@ -231,8 +240,8 @@ def cmd_sweep(args) -> int:
         raise ReturnsParseError("sweep supports the mv and ad models")
     model = MEAN_VARIANCE if args.model == "mv" else ABSOLUTE_DEVIATION
     alphas = [float(chunk) for chunk in args.alphas.split(",") if chunk]
-    if not alphas or any(a <= 1.0 for a in alphas):
-        raise ReturnsParseError("sweep alphas must all exceed 1")
+    if not alphas or not all(1.0 < a < math.inf for a in alphas):
+        raise ReturnsParseError("sweep alphas must all be finite and exceed 1")
     if args.trials < 1:
         raise ReturnsParseError("trials must be at least 1")
     seed = args.seed if args.seed is not None else _default_seed()
@@ -290,6 +299,8 @@ def cmd_ky(args) -> int:
 
     if args.n is None or args.p is None:
         raise ReturnsParseError("random mode requires --n and --p (or use --counterexample)")
+    if args.trials < 1:
+        raise ReturnsParseError("trials must be at least 1")
     seed = args.seed if args.seed is not None else _default_seed()
     cosines, q_gaps = [], []
     n_diverged = 0

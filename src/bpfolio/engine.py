@@ -6,7 +6,6 @@ import numpy as np
 
 from .channels import channel_for
 from .model import (
-    ABSOLUTE_DEVIATION,
     BpConfig,
     BpState,
     CostModel,
@@ -29,6 +28,9 @@ AD_MAX_SWEEPS = 6000
 # portfolio is the time average of m_w over the hold phase at the top beta,
 # after discarding the first AVG_BURN_SWEEPS sweeps of ramp-tracking lag.
 AVG_BURN_SWEEPS = 1000
+
+# q_hat beyond this flags the divergent phase (alpha <= 1 or blow-up)
+DIVERGENCE_THRESHOLD = 1e6
 
 
 class DivergenceDetected(RuntimeError):
@@ -65,55 +67,45 @@ def init_state(returns: ReturnSet) -> BpState:
     return BpState(
         m_w=np.ones(n),
         chi_w=np.ones(n),
-        h_w=np.zeros(n),
-        chi_tilde_w=np.zeros(n),
         m_u=np.zeros(p),
         chi_u=np.zeros(p),
-        h_u=np.zeros(p),
-        chi_tilde_u=np.zeros(p),
         m_tilde=0.0,
-        sweep_count=0,
     )
 
 
-def period_sweep(state: BpState, returns: ReturnSet, channel, config: BpConfig,
-                 squares: np.ndarray = None) -> BpState:
-    """Update the period-side cavity fields and channel outputs in place.
+def period_sweep(state: BpState, returns: ReturnSet, squares: np.ndarray, channel,
+                 beta: float, damping: float) -> BpState:
+    """Update the period means and variances in place.
 
     chi_tilde_u = (1/N) sum_k x_k^2 chi_wk and h_u = (1/sqrt N) sum_k x_k m_wk
     minus the self-response term chi_tilde_u * m_u built from the previous
-    period means. channel is already bound to its beta: (h, chi_tilde) -> (m, chi).
+    period means; squares is x*x. channel maps (h, chi_tilde, beta) -> (m, chi).
     """
     x = returns.entries
     n = returns.n_assets
-    if squares is None:
-        squares = x * x
     chi_tilde_u = squares.T @ state.chi_w / n
     h_u = x.T @ state.m_w / np.sqrt(n) - chi_tilde_u * state.m_u
-    m_channel, chi_channel = channel(h_u, chi_tilde_u)
-    m_u = (1.0 - config.damping) * m_channel + config.damping * state.m_u
+    m_channel, chi_channel = channel(h_u, chi_tilde_u, beta)
+    m_u = (1.0 - damping) * m_channel + damping * state.m_u
     if not np.all(np.isfinite(m_u)):
         raise DivergenceDetected("non-finite period means")
-    state.chi_tilde_u = chi_tilde_u
-    state.h_u = h_u
     state.m_u = m_u
     state.chi_u = chi_channel
     return state
 
 
-def asset_sweep(state: BpState, returns: ReturnSet, config: BpConfig,
-                squares: np.ndarray = None) -> BpState:
-    """Update the asset-side fields and enforce the budget through m_tilde.
+def asset_sweep(state: BpState, returns: ReturnSet, squares: np.ndarray,
+                damping: float) -> BpState:
+    """Update the asset means and variances in place, enforcing the budget through m_tilde.
 
     h_w adds (not subtracts) its self-response term chi_tilde_w * m_wk from the
-    previous asset means; the budget multiplier has the closed form
-    m_tilde = (N - sum chi_w h_w)/sum chi_w because the mean update is linear
-    in it, and the undamped means then satisfy sum m_w = N exactly.
+    previous asset means, and chi_w = 1/chi_tilde_w; squares is x*x. The budget
+    multiplier has the closed form m_tilde = (N - sum chi_w h_w)/sum chi_w
+    because the mean update is linear in it, and the undamped means
+    chi_w * (h_w + m_tilde) then satisfy sum m_w = N exactly.
     """
     x = returns.entries
     n = returns.n_assets
-    if squares is None:
-        squares = x * x
     chi_tilde_w = squares @ state.chi_u / n
     if not np.all(np.isfinite(chi_tilde_w)) or np.any(chi_tilde_w <= 0.0):
         raise DivergenceDetected(
@@ -123,15 +115,12 @@ def asset_sweep(state: BpState, returns: ReturnSet, config: BpConfig,
     chi_w = 1.0 / chi_tilde_w
     m_tilde = (n - chi_w @ h_w) / chi_w.sum()
     m_target = chi_w * (h_w + m_tilde)
-    m_w = (1.0 - config.damping) * m_target + config.damping * state.m_w
+    m_w = (1.0 - damping) * m_target + damping * state.m_w
     if not np.all(np.isfinite(m_w)):
         raise DivergenceDetected("non-finite asset means")
-    state.chi_tilde_w = chi_tilde_w
-    state.h_w = h_w
     state.chi_w = chi_w
     state.m_tilde = float(m_tilde)
     state.m_w = m_w
-    state.sweep_count += 1
     return state
 
 
@@ -152,9 +141,9 @@ def solve(returns: ReturnSet, model: CostModel, config: BpConfig = None):
     Each ladder entry gets one sweep pair; the final entry holds until
     convergence or the sweep budget runs out, and is the beta the result is
     reported at. Convergence: max_k |dm_wk| / max(1, |m_wk|) < tol, tested
-    once the ladder has been climbed. Divergence (q_hat above the configured
-    threshold, nonpositive cavity variances, or non-finite values) marks the
-    run instead of raising; the partial state is returned.
+    once the ladder has been climbed. Divergence (q_hat above
+    DIVERGENCE_THRESHOLD, nonpositive cavity variances, or non-finite values)
+    marks the run instead of raising; the partial state is returned.
 
     Reported portfolio: the final m_w when the run converges (an exact fixed
     point) or diverges (partial state, flagged). An annealed run that ends the
@@ -170,7 +159,7 @@ def solve(returns: ReturnSet, model: CostModel, config: BpConfig = None):
     squares = x * x
     n = returns.n_assets
     state = init_state(returns)
-    channel_fn = channel_for(model)
+    channel = channel_for(model)
     ladder = config.beta_ladder()
 
     converged = False
@@ -184,19 +173,15 @@ def solve(returns: ReturnSet, model: CostModel, config: BpConfig = None):
         while total < config.max_sweeps:
             beta = ladder[min(total, len(ladder) - 1)]
             at_final_beta = total >= len(ladder) - 1
-
-            def channel(h, chi_tilde, _beta=beta):
-                return channel_fn(h, chi_tilde, _beta)
-
             previous = state.m_w
-            period_sweep(state, returns, channel, config, squares)
-            asset_sweep(state, returns, config, squares)
+            period_sweep(state, returns, squares, channel, beta, config.damping)
+            asset_sweep(state, returns, squares, config.damping)
             total += 1
             delta = float(np.max(
                 np.abs(state.m_w - previous) / np.maximum(1.0, np.abs(state.m_w))
             ))
             q_hat = float(state.m_w @ state.m_w) / n
-            if not np.isfinite(q_hat) or q_hat > config.divergence_threshold:
+            if not np.isfinite(q_hat) or q_hat > DIVERGENCE_THRESHOLD:
                 raise DivergenceDetected(f"q_hat={q_hat:.3e} beyond threshold")
             if at_final_beta:
                 if delta < config.tol:
@@ -221,7 +206,7 @@ def solve(returns: ReturnSet, model: CostModel, config: BpConfig = None):
     diagnostics = Diagnostics(
         q_hat=q_hat,
         eps_hat=eps_hat,
-        converged=converged and not diverged,
+        converged=converged,
         diverged=diverged,
         sweeps_used=total,
         final_delta=delta,

@@ -2,15 +2,10 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
-
-# Synthetic returns come from numpy's default generator (PCG64, ziggurat normal
-# sampling). The generator is pinned by name so seeded runs stay reproducible
-# across machines; changing it would invalidate every golden file.
-_GENERATOR_NAME = "numpy.random.default_rng (PCG64)"
 
 
 @dataclass(frozen=True)
@@ -115,19 +110,16 @@ class BpConfig:
     tol: float = 1e-10  # max relative change of m_w declaring convergence
     max_sweeps: int = 5000
     beta_schedule: Optional[tuple[float, float, float]] = None  # (start, factor, final)
-    divergence_threshold: float = 1e6  # q_hat beyond this flags the divergent phase
 
     def __post_init__(self):
-        if self.beta <= 0:
-            raise ValueError("beta must be positive")
+        if not 0 < self.beta < math.inf:
+            raise ValueError("beta must be positive and finite")
         if not 0.0 <= self.damping < 1.0:
             raise ValueError("damping must lie in [0, 1)")
-        if self.tol <= 0:
-            raise ValueError("tol must be positive")
+        if not 0 < self.tol < math.inf:
+            raise ValueError("tol must be positive and finite")
         if self.max_sweeps < 1:
             raise ValueError("max_sweeps must be at least 1")
-        if self.divergence_threshold <= 0:
-            raise ValueError("divergence_threshold must be positive")
         if self.beta_schedule is not None:
             start, factor, final = self.beta_schedule
             if start <= 0 or final < start:
@@ -152,18 +144,14 @@ class BpConfig:
 
 @dataclass
 class BpState:
-    """All message-passing marginals; single-owner mutable during a solve."""
+    """What one sweep hands the next: asset and period means and variances plus
+    the budget multiplier; single-owner mutable during a solve."""
 
     m_w: np.ndarray
     chi_w: np.ndarray
-    h_w: np.ndarray
-    chi_tilde_w: np.ndarray
     m_u: np.ndarray
     chi_u: np.ndarray
-    h_u: np.ndarray
-    chi_tilde_u: np.ndarray
     m_tilde: float = 0.0
-    sweep_count: int = 0
 
 
 @dataclass(frozen=True)
@@ -191,19 +179,9 @@ class RsSolution:
     divergent: bool = False  # alpha <= 1 has no finite solution; q, chi are inf
 
 
-@dataclass(frozen=True)
-class ExperimentRecord:
-    """One Monte-Carlo trial; rerunning with the same seed reproduces it exactly."""
-
-    seed: int
-    n_assets: int
-    n_periods: int
-    model: str
-    diagnostics: Diagnostics
-
-
 def generate_returns(n_assets: int, n_periods: int, seed: int) -> ReturnSet:
-    """I.i.d. standard normal returns from the pinned generator; same seed, same matrix."""
+    """I.i.d. standard normal returns from numpy's default_rng (PCG64); same seed,
+    same matrix, so changing the generator would change every seeded output."""
     if n_assets < 2:
         raise ValueError(f"need at least 2 assets, got {n_assets}")
     if n_periods < 1:

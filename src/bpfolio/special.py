@@ -6,7 +6,6 @@ beta * sqrt(chi_tilde), which can reach 1e8.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -94,29 +93,10 @@ def mills_excess(u):
     return _apply_scalar_safe(u, _eval)
 
 
-@dataclass(frozen=True)
-class QuadratureRule:
-    """Nodes and weights for expectations under the standard normal measure Dz."""
-
-    nodes: np.ndarray
-    weights: np.ndarray
-
-    def __post_init__(self):
-        nodes = np.array(self.nodes, dtype=float)
-        weights = np.array(self.weights, dtype=float)
-        nodes.setflags(write=False)
-        weights.setflags(write=False)
-        object.__setattr__(self, "nodes", nodes)
-        object.__setattr__(self, "weights", weights)
-
-    def expect(self, values: np.ndarray) -> float:
-        """Weighted sum approximating E[f(z)] given f evaluated at the nodes."""
-        return float(self.weights @ values)
-
-
 @lru_cache(maxsize=None)
-def gauss_hermite_dz(order: int) -> QuadratureRule:
-    """Gauss-Hermite rule for the measure Dz = dz exp(-z^2/2)/sqrt(2 pi).
+def gauss_hermite_dz(order: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only (nodes, weights) of the Gauss-Hermite rule for the measure
+    Dz = dz exp(-z^2/2)/sqrt(2 pi); E[f(z)] ~ weights @ f(nodes).
 
     Exact for polynomials up to degree 2*order - 1; weights renormalized to
     sum to one so that E[1] = 1 holds exactly.
@@ -125,4 +105,6 @@ def gauss_hermite_dz(order: int) -> QuadratureRule:
         raise ValueError(f"quadrature order must be in [1, 256], got {order}")
     nodes, weights = hermegauss(order)
     weights = weights / weights.sum()
-    return QuadratureRule(nodes=nodes, weights=weights)
+    nodes.setflags(write=False)
+    weights.setflags(write=False)
+    return nodes, weights

@@ -67,9 +67,7 @@ def rs_fixed_point(alpha: float, beta: float, model: CostModel,
     if alpha <= 1.0:
         return RsSolution(q=math.inf, chi=math.inf, eta=math.nan, delta=math.nan,
                           alpha=alpha, beta=beta, divergent=True)
-    rule = gauss_hermite_dz(order)
-    y = rule.nodes
-    v = rule.weights
+    y, v = gauss_hermite_dz(order)
     channel = channel_for(model)
 
     start = rs_closed_form_mv(alpha, beta)
@@ -177,11 +175,6 @@ def _golden_section_min(f: Callable[[float], float], lo: float, hi: float,
     return 0.5 * (a + b)
 
 
-def gaussian_tail(u: float) -> float:
-    """H(u), the upper tail mass of the standard normal."""
-    return math.exp(log_gaussian_tail(u))
-
-
 def annealed_cost(model: str, alpha: float, s: float, gamma: float = None) -> float:
     """Expected per-asset cost of a fixed portfolio with spread s over random returns.
 
@@ -204,7 +197,7 @@ def annealed_cost(model: str, alpha: float, s: float, gamma: float = None) -> fl
         hi = 20.0 * s * max(1.0, math.sqrt(inner))
 
         def objective(v: float) -> float:
-            return alpha * (v * gamma + gaussian_tail(v / s))
+            return alpha * (v * gamma + math.exp(log_gaussian_tail(v / s)))
 
         v_star = _golden_section_min(objective, 0.0, hi, xatol=1e-12)
         return min(objective(v_star), objective(0.0))

@@ -7,8 +7,8 @@ import numpy as np
 import pytest
 
 from bpfolio import theory
-from bpfolio.cli import SWEEP_CSV_HEADER, main, run_sweep
-from bpfolio.model import ABSOLUTE_DEVIATION, MEAN_VARIANCE
+from bpfolio.cli import SWEEP_CSV_HEADER, _replica_overlap, main, run_sweep
+from bpfolio.model import ABSOLUTE_DEVIATION, MEAN_VARIANCE, generic_model
 
 
 def run_json(capsys, argv):
@@ -57,6 +57,18 @@ class TestSolveCommand:
                      "--n", "6", "--p", "12"])
         assert code == 1
         assert "cost-expr" in capsys.readouterr().err
+
+    def test_malformed_cost_expression_is_usage_error(self, capsys):
+        code = main(["solve", "--model", "generic", "--cost-expr", "u**",
+                     "--random", "--n", "2", "--p", "8"])
+        assert code == 1
+        assert "bpfolio: error:" in capsys.readouterr().err
+
+    def test_non_finite_tolerance_is_usage_error(self, capsys):
+        code = main(["solve", "--model", "mv", "--random", "--n", "10", "--p", "30",
+                     "--tol", "nan"])
+        assert code == 1
+        assert "tol" in capsys.readouterr().err
 
     def test_generic_expression_matches_builtin_quadratic(self, capsys):
         code_mv, record_mv = run_json(capsys, [
@@ -132,9 +144,17 @@ class TestSweepCommand:
         csv_text = run_sweep(ABSOLUTE_DEVIATION, [2.0], 10, 1, 0, beta=4.0)
         assert csv_text.splitlines()[1].split(",")[5] == "nan"
 
+    def test_generic_cost_has_no_replica_overlap(self):
+        assert math.isnan(_replica_overlap(generic_model(lambda u: u * u / 2), 2.0, 1.0))
+
     def test_alpha_at_or_below_one_rejected(self, capsys):
         assert main(["sweep", "--model", "mv", "--alphas", "0.5,2"]) == 1
         assert main(["sweep", "--model", "mv", "--alphas", "1.0"]) == 1
+
+    def test_non_finite_alphas_rejected(self, capsys):
+        assert main(["sweep", "--model", "mv", "--alphas", "inf"]) == 1
+        assert main(["sweep", "--model", "mv", "--alphas", "2,nan"]) == 1
+        assert capsys.readouterr().err.count("must all be finite") == 2
 
     def test_trial_seeds_are_base_plus_index(self):
         # trials 0 and 1 of base seed 5 equal single trials at seeds 5 and 6
@@ -213,6 +233,10 @@ class TestKyCommand:
 
     def test_random_mode_requires_dimensions(self, capsys):
         assert main(["ky", "--trials", "2"]) == 1
+
+    def test_random_mode_rejects_fewer_than_one_trial(self, capsys):
+        assert main(["ky", "--n", "5", "--p", "10", "--trials", "0"]) == 1
+        assert main(["ky", "--n", "5", "--p", "10", "--trials", "-3"]) == 1
 
 
 class TestSeedEnvironment:

@@ -27,18 +27,28 @@ from bpfolio.oracles import convex_oracle, exact_mean_variance
 from bpfolio.theory import portfolio_similarity
 
 DIAGONAL_2X2 = ReturnSet(np.array([[1.0, 0.0], [0.0, 2.0]]))
+SQUARES_2X2 = DIAGONAL_2X2.entries * DIAGONAL_2X2.entries
 
 
 def make_state(n, p, **overrides):
     state = BpState(
         m_w=np.ones(n), chi_w=np.ones(n),
-        h_w=np.zeros(n), chi_tilde_w=np.zeros(n),
         m_u=np.zeros(p), chi_u=np.zeros(p),
-        h_u=np.zeros(p), chi_tilde_u=np.zeros(p),
     )
     for name, value in overrides.items():
         setattr(state, name, np.asarray(value, dtype=float))
     return state
+
+
+class RecordingChannel:
+    """Mean-variance channel that keeps the cavity fields it was called with."""
+
+    def __init__(self):
+        self.calls = []
+
+    def __call__(self, h, chi_tilde, beta):
+        self.calls.append((h, chi_tilde, beta))
+        return channel_mean_variance(h, chi_tilde, beta)
 
 
 class TestDefaultConfig:
@@ -82,7 +92,6 @@ class TestInitState:
         assert np.all(state.m_u == 0.0)
         assert np.all(state.chi_u == 0.0)
         assert state.m_tilde == 0.0
-        assert state.sweep_count == 0
         assert state.m_w.sum() == 5.0
 
 
@@ -91,38 +100,32 @@ class TestPeriodSweep:
         # negligible chi_w turns off both the smearing and the self-response,
         # leaving h_u as the scaled per-period portfolio returns
         state = make_state(2, 2, m_w=[1.6, 0.4], chi_w=[1e-12, 1e-12])
-        config = BpConfig(damping=0.0)
-
-        def channel(h, chi_tilde):
-            return channel_mean_variance(h, chi_tilde, 1.0)
-
-        period_sweep(state, DIAGONAL_2X2, channel, config)
+        channel = RecordingChannel()
+        period_sweep(state, DIAGONAL_2X2, SQUARES_2X2, channel, 1.0, 0.0)
         root2 = np.sqrt(2.0)
-        assert state.h_u == pytest.approx([1.6 / root2, 0.8 / root2], abs=1e-9)
+        (h_u, _, beta), = channel.calls
+        assert beta == 1.0
+        assert h_u == pytest.approx([1.6 / root2, 0.8 / root2], abs=1e-9)
         assert state.m_u == pytest.approx([-1.6 / root2, -0.8 / root2], abs=1e-9)
         assert np.all(state.chi_u > 0.0)
 
     def test_onsager_term_uses_previous_period_means(self):
         state = make_state(2, 2, m_w=[1.6, 0.4], chi_w=[1.0, 1.0], m_u=[1.0, -1.0])
-        config = BpConfig(damping=0.0)
-
-        def channel(h, chi_tilde):
-            return channel_mean_variance(h, chi_tilde, 1.0)
-
-        period_sweep(state, DIAGONAL_2X2, channel, config)
+        channel = RecordingChannel()
+        period_sweep(state, DIAGONAL_2X2, SQUARES_2X2, channel, 1.0, 0.0)
         root2 = np.sqrt(2.0)
+        (h_u, chi_tilde_u, _), = channel.calls
         # chi_tilde_u = (0.5, 2.0); the correction subtracts chi_tilde * old m_u
-        assert state.chi_tilde_u == pytest.approx([0.5, 2.0])
-        assert state.h_u == pytest.approx([1.6 / root2 - 0.5, 0.8 / root2 + 2.0])
+        assert chi_tilde_u == pytest.approx([0.5, 2.0])
+        assert h_u == pytest.approx([1.6 / root2 - 0.5, 0.8 / root2 + 2.0])
 
     def test_damping_blends_old_and_new(self):
         state = make_state(2, 2, m_w=[1.6, 0.4], chi_w=[1e-12, 1e-12], m_u=[1.0, 1.0])
-        config = BpConfig(damping=0.25)
 
-        def channel(h, chi_tilde):
+        def channel(h, chi_tilde, beta):
             return np.array([-1.0, -3.0]), np.zeros(2)
 
-        period_sweep(state, DIAGONAL_2X2, channel, config)
+        period_sweep(state, DIAGONAL_2X2, SQUARES_2X2, channel, 1.0, 0.25)
         assert state.m_u == pytest.approx([0.75 * -1.0 + 0.25 * 1.0,
                                            0.75 * -3.0 + 0.25 * 1.0])
 
@@ -131,31 +134,26 @@ class TestAssetSweep:
     def test_budget_multiplier_closed_form(self):
         root2 = np.sqrt(2.0)
         state = make_state(2, 2, chi_u=[2.0, 0.5], m_u=[root2, -root2 / 2.0])
-        config = BpConfig(damping=0.0)
-        asset_sweep(state, DIAGONAL_2X2, config)
-        assert state.chi_tilde_w == pytest.approx([1.0, 1.0])
-        assert state.h_w == pytest.approx([2.0, 0.0])
+        asset_sweep(state, DIAGONAL_2X2, SQUARES_2X2, 0.0)
+        # chi_tilde_w = (1, 1), so chi_w = 1/chi_tilde_w = (1, 1); h_w = (2, 0)
+        # and m_tilde = 0 make the undamped m_w = chi_w * (h_w + m_tilde) = (2, 0)
+        assert state.chi_w == pytest.approx([1.0, 1.0])
         assert state.m_tilde == pytest.approx(0.0, abs=1e-15)
         assert state.m_w == pytest.approx([2.0, 0.0])
-        assert state.sweep_count == 1
 
     def test_budget_held_with_damping(self):
         rs = generate_returns(20, 60, 8)
+        squares = rs.entries * rs.entries
         state = init_state(rs)
-        config = BpConfig(damping=0.5)
-
-        def channel(h, chi_tilde):
-            return channel_mean_variance(h, chi_tilde, 1.0)
-
         for _ in range(50):
-            period_sweep(state, rs, channel, config)
-            asset_sweep(state, rs, config)
+            period_sweep(state, rs, squares, channel_mean_variance, 1.0, 0.5)
+            asset_sweep(state, rs, squares, 0.5)
             assert abs(state.m_w.sum() - 20.0) <= 1e-9 * 20.0
 
     def test_vanishing_cavity_variance_raises(self):
         state = make_state(2, 2, chi_u=[0.0, 0.0])
         with pytest.raises(DivergenceDetected, match="cavity variance"):
-            asset_sweep(state, DIAGONAL_2X2, BpConfig())
+            asset_sweep(state, DIAGONAL_2X2, SQUARES_2X2, 0.5)
 
 
 class TestObservables:

@@ -142,16 +142,17 @@ class TestBpConfig:
         assert config.tol == 1e-10
         assert config.max_sweeps == 5000
         assert config.beta_schedule is None
-        assert config.divergence_threshold == 1e6
 
     @pytest.mark.parametrize("kwargs", [
         {"beta": 0.0},
         {"beta": -1.0},
+        {"beta": math.nan},
+        {"beta": math.inf},
         {"damping": -0.1},
         {"damping": 1.0},
         {"tol": 0.0},
+        {"tol": math.nan},
         {"max_sweeps": 0},
-        {"divergence_threshold": 0.0},
         {"beta_schedule": (0.0, 2.0, 8.0)},
         {"beta_schedule": (4.0, 2.0, 2.0)},
         {"beta_schedule": (1.0, 1.0, 8.0)},

@@ -9,7 +9,6 @@ import scipy.stats
 from bpfolio.model import ABSOLUTE_DEVIATION, MEAN_VARIANCE, Portfolio
 from bpfolio.theory import (
     annealed_cost,
-    gaussian_tail,
     marchenko_pastur,
     mp_bulk_density,
     mp_bulk_expectation,
@@ -189,9 +188,6 @@ class TestAnnealedCost:
             annealed_cost("es", 2.0, 1.0)
         with pytest.raises(ValueError, match="unknown"):
             annealed_cost("huber", 2.0, 1.0)
-
-    def test_gaussian_tail_midpoint(self):
-        assert gaussian_tail(0.0) == pytest.approx(0.5, rel=1e-14)
 
 
 class TestPortfolioSimilarity:
