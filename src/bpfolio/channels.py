@@ -55,8 +55,6 @@ def channel_absolute_deviation(h, chi_tilde, beta):
     h = np.asarray(h, dtype=float)
     chi_tilde = np.asarray(chi_tilde, dtype=float)
     h, chi_tilde = np.broadcast_arrays(h, chi_tilde)
-    h = h.astype(float)
-    chi_tilde = chi_tilde.astype(float)
 
     root = np.sqrt(chi_tilde)
     u_plus = beta * root + h / root

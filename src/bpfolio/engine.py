@@ -14,12 +14,13 @@ from .model import (
     ReturnSet,
 )
 
-# default absolute-deviation annealing: one sweep per ladder entry, multiplying
-# beta by 2^(1/128) each sweep from 1 up to 2^20, then holding at the top.
-# Coarser ladders (for example doubling with a few hundred sweeps per rung) leave
-# the iterate outside the narrowing stability basin of each rung's fixed point
-# and stall at percent-level cost error; the fine ramp tracks it adiabatically.
-AD_BETA_SCHEDULE = (1.0, 2.0 ** (1.0 / 128.0), float(2 ** 20))
+# annealing: one sweep per ladder entry, multiplying beta by 2^(1/128) each
+# sweep from 1 up to the top beta, then holding there. Coarser ladders (for
+# example doubling with a few hundred sweeps per rung) leave the iterate outside
+# the narrowing stability basin of each rung's fixed point and stall at
+# percent-level cost error; the fine ramp tracks it adiabatically.
+BETA_RAMP_FACTOR = 2.0 ** (1.0 / 128.0)
+AD_BETA_TOP = float(2 ** 20)
 AD_MAX_SWEEPS = 6000
 
 # at very large beta the |u| fixed point goes locally unstable and the iterate
@@ -46,12 +47,10 @@ def default_config(model: CostModel, beta: float = None) -> BpConfig:
     beta=1 is as exact as any other choice and needs no ramp.
     """
     if model.kind == "ad":
-        top = float(beta) if beta is not None else AD_BETA_SCHEDULE[2]
-        if top <= AD_BETA_SCHEDULE[0]:
+        top = float(beta) if beta is not None else AD_BETA_TOP
+        if top <= 1.0:
             return BpConfig(beta=top)
-        return BpConfig(beta=top,
-                        beta_schedule=(AD_BETA_SCHEDULE[0], AD_BETA_SCHEDULE[1], top),
-                        max_sweeps=AD_MAX_SWEEPS)
+        return BpConfig(beta=top, anneal=True, max_sweeps=AD_MAX_SWEEPS)
     if model.kind == "mv":
         # the linear MV iteration contracts to a delta floor near 1e-15, and a
         # loose stop leaves the iterate ~delta/(1-rho) short of the fixed point,
@@ -59,6 +58,17 @@ def default_config(model: CostModel, beta: float = None) -> BpConfig:
         # closed-form match holds per component.
         return BpConfig(beta=float(beta) if beta is not None else 1.0, tol=1e-14)
     return BpConfig(beta=float(beta) if beta is not None else 1.0)
+
+
+def beta_ladder(config: BpConfig) -> list[float]:
+    """Betas to walk, one sweep per entry: [beta] without annealing, else from 1
+    by BETA_RAMP_FACTOR, clamped to end exactly at beta, where solve holds."""
+    if not config.anneal:
+        return [config.beta]
+    ladder = [1.0]
+    while ladder[-1] < config.beta:
+        ladder.append(min(ladder[-1] * BETA_RAMP_FACTOR, config.beta))
+    return ladder
 
 
 def init_state(returns: ReturnSet) -> BpState:
@@ -160,19 +170,18 @@ def solve(returns: ReturnSet, model: CostModel, config: BpConfig = None):
     n = returns.n_assets
     state = init_state(returns)
     channel = channel_for(model)
-    ladder = config.beta_ladder()
+    ladder = beta_ladder(config)
+    ramp_sweeps = len(ladder) - 1  # sweeps before the final beta
 
     converged = False
     diverged = False
     delta = np.inf
     total = 0
-    hold_sweeps = 0
     avg_accum = np.zeros(n)
     avg_count = 0
     try:
         while total < config.max_sweeps:
-            beta = ladder[min(total, len(ladder) - 1)]
-            at_final_beta = total >= len(ladder) - 1
+            beta = ladder[min(total, ramp_sweeps)]
             previous = state.m_w
             period_sweep(state, returns, squares, channel, beta, config.damping)
             asset_sweep(state, returns, squares, config.damping)
@@ -183,15 +192,13 @@ def solve(returns: ReturnSet, model: CostModel, config: BpConfig = None):
             q_hat = float(state.m_w @ state.m_w) / n
             if not np.isfinite(q_hat) or q_hat > DIVERGENCE_THRESHOLD:
                 raise DivergenceDetected(f"q_hat={q_hat:.3e} beyond threshold")
-            if at_final_beta:
+            if total > ramp_sweeps:
                 if delta < config.tol:
                     converged = True
                     break
-                if config.beta_schedule is not None:
-                    hold_sweeps += 1
-                    if hold_sweeps > AVG_BURN_SWEEPS:
-                        avg_accum += state.m_w
-                        avg_count += 1
+                if config.anneal and total - ramp_sweeps > AVG_BURN_SWEEPS:
+                    avg_accum += state.m_w
+                    avg_count += 1
     except DivergenceDetected:
         diverged = True
         converged = False
@@ -200,7 +207,7 @@ def solve(returns: ReturnSet, model: CostModel, config: BpConfig = None):
         positions = state.m_w.copy()
     else:
         positions = avg_accum / avg_count
-    portfolio = Portfolio(positions=positions, budget=float(n))
+    portfolio = Portfolio(positions=positions)
     with np.errstate(all="ignore"):
         q_hat, eps_hat = observables(portfolio, returns, model)
     diagnostics = Diagnostics(

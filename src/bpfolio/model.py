@@ -43,25 +43,22 @@ class ReturnSet:
 
 @dataclass(frozen=True)
 class Portfolio:
-    """Vector of positions (shorts allowed) constrained to sum to the budget."""
+    """Vector of positions (shorts allowed) constrained to sum to N, the number of assets."""
 
     positions: np.ndarray
-    budget: float = None  # defaults to N, the convention every formula assumes
 
     def __post_init__(self):
         positions = np.array(self.positions, dtype=float)
         positions.setflags(write=False)
         object.__setattr__(self, "positions", positions)
-        if self.budget is None:
-            object.__setattr__(self, "budget", float(positions.size))
 
     @property
     def n_assets(self) -> int:
         return self.positions.size
 
     def budget_gap(self) -> float:
-        """Signed violation of the budget constraint, sum(positions) - budget."""
-        return float(self.positions.sum() - self.budget)
+        """Signed violation of the budget constraint, sum(positions) - N."""
+        return float(self.positions.sum() - self.n_assets)
 
     def is_feasible(self, tol: float = 1e-9) -> bool:
         """True when the budget constraint holds within tol * n_assets."""
@@ -109,7 +106,7 @@ class BpConfig:
     damping: float = 0.5  # weight of the previous iterate in each mean update
     tol: float = 1e-10  # max relative change of m_w declaring convergence
     max_sweeps: int = 5000
-    beta_schedule: Optional[tuple[float, float, float]] = None  # (start, factor, final)
+    anneal: bool = False  # ramp beta from 1 up to beta first (engine.beta_ladder)
 
     def __post_init__(self):
         if not 0 < self.beta < math.inf:
@@ -120,26 +117,8 @@ class BpConfig:
             raise ValueError("tol must be positive and finite")
         if self.max_sweeps < 1:
             raise ValueError("max_sweeps must be at least 1")
-        if self.beta_schedule is not None:
-            start, factor, final = self.beta_schedule
-            if start <= 0 or final < start:
-                raise ValueError("beta schedule needs 0 < start <= final")
-            if factor <= 1:
-                raise ValueError("beta schedule factor must exceed 1")
-            if math.log(final / start) / math.log(factor) > 1_000_000:
-                raise ValueError("beta schedule has over a million rungs; "
-                                 "use a coarser factor")
-
-    def beta_ladder(self) -> list[float]:
-        """Geometric beta sequence to walk, one sweep per entry; the solver
-        holds at the last entry, which is the beta results are reported at."""
-        if self.beta_schedule is None:
-            return [self.beta]
-        start, factor, final = self.beta_schedule
-        ladder = [start]
-        while ladder[-1] < final:
-            ladder.append(min(ladder[-1] * factor, final))
-        return ladder
+        if self.anneal and self.beta < 1.0:
+            raise ValueError("annealing ramps up from beta = 1, so it needs beta >= 1")
 
 
 @dataclass

@@ -9,6 +9,7 @@ from .model import CostModel, Portfolio, ReturnSet
 
 _SMOOTHING_LADDER = tuple(10.0 ** -k for k in range(2, 9))  # 1e-2 annealed to 1e-8
 _EVAL_CAP = 1_000_000
+_FINAL_GTOL = 1e-10  # L-BFGS-B gradient tolerance on the last smoothing rung
 
 
 class SingularInstanceError(ValueError):
@@ -37,7 +38,8 @@ def exact_mean_variance(returns: ReturnSet) -> Portfolio:
         )
     x = returns.entries
     correlation = x @ x.T
-    condition = float(np.linalg.cond(correlation))
+    eigenvalues = np.linalg.eigvalsh(correlation)  # ascending; cond = max/min for PSD
+    condition = eigenvalues[-1] / eigenvalues[0] if eigenvalues[0] > 0.0 else np.inf
     if not np.isfinite(condition) or condition >= 1e12:
         raise SingularInstanceError(
             f"period correlation matrix condition estimate {condition:.3e} exceeds 1e12"
@@ -54,7 +56,7 @@ def exact_mean_variance(returns: ReturnSet) -> Portfolio:
             f"linear solve residual {residual:.3e} exceeds 1e-10 (condition {condition:.3e})"
         )
     positions = n * y / y.sum()
-    return Portfolio(positions=positions, budget=float(n))
+    return Portfolio(positions=positions)
 
 
 def _smoothed_objective(returns: ReturnSet, model: CostModel, delta: float):
@@ -88,13 +90,13 @@ def _smoothed_objective(returns: ReturnSet, model: CostModel, delta: float):
     return assemble, value_and_grad
 
 
-def convex_oracle(returns: ReturnSet, model: CostModel, tol: float = 1e-10) -> Portfolio:
+def convex_oracle(returns: ReturnSet, model: CostModel) -> Portfolio:
     """Independent minimizer of the budget-constrained cost by smoothed descent.
 
     Runs quasi-Newton descent on the constraint chart while annealing the
     absolute-value smoothing from 1e-2 to 1e-8, warm-starting each rung.
     Deterministic; raises OracleConvergenceError if the evaluation budget is
-    exhausted before the final rung converges to tol.
+    exhausted before the final rung converges to _FINAL_GTOL.
     """
     n = returns.n_assets
     free = np.ones(n - 1)
@@ -120,7 +122,7 @@ def convex_oracle(returns: ReturnSet, model: CostModel, tol: float = 1e-10) -> P
                 "maxiter": 20_000,
                 "maxfun": _EVAL_CAP - evaluations,
                 "ftol": 1e-18,
-                "gtol": tol if final else max(tol, 1e-9),
+                "gtol": _FINAL_GTOL if final else 1e-9,
             },
         )
         free = result.x
@@ -132,7 +134,7 @@ def convex_oracle(returns: ReturnSet, model: CostModel, tol: float = 1e-10) -> P
             f"with best objective {best:.12g}",
             best_objective=best,
         )
-    return Portfolio(positions=assemble(free), budget=float(n))
+    return Portfolio(positions=assemble(free))
 
 
 def ad_two_asset_kinks(returns: ReturnSet) -> Portfolio:
@@ -156,9 +158,9 @@ def ad_two_asset_kinks(returns: ReturnSet) -> Portfolio:
 
     kinks = sorted(-b[a != 0.0] / a[a != 0.0])
     if not kinks:
-        return Portfolio(positions=np.array([1.0, 1.0]), budget=2.0)
+        return Portfolio(positions=np.array([1.0, 1.0]))
     values = np.array([objective(w1) for w1 in kinks])
     floor = values.min()
     w1_best = min(w1 for w1, value in zip(kinks, values)
                   if value <= floor * (1.0 + 1e-12) + 1e-15)
-    return Portfolio(positions=np.array([w1_best, 2.0 - w1_best]), budget=2.0)
+    return Portfolio(positions=np.array([w1_best, 2.0 - w1_best]))

@@ -31,14 +31,20 @@ class SpectralStats:
     eps: float
 
 
+def _check_replica_inputs(alpha: float, beta: float) -> None:
+    if not math.isfinite(alpha):
+        raise ValueError("alpha must be finite")
+    if not 0 < beta < math.inf:
+        raise ValueError("beta must be positive and finite")
+
+
 def rs_closed_form_mv(alpha: float, beta: float) -> RsSolution:
     """Exact mean-variance order parameters: q = alpha/(alpha-1), chi = 1/(beta*(alpha-1)).
 
-    alpha <= 1 returns the divergent-phase record (q and chi infinite) rather
-    than raising: the divergence is the physical answer there.
+    A finite alpha <= 1 returns the divergent-phase record (q and chi
+    infinite) rather than raising: the divergence is the physical answer there.
     """
-    if beta <= 0:
-        raise ValueError("beta must be positive")
+    _check_replica_inputs(alpha, beta)
     if alpha <= 1.0:
         return RsSolution(q=math.inf, chi=math.inf, eta=math.nan, delta=math.nan,
                           alpha=alpha, beta=beta, divergent=True)
@@ -62,8 +68,7 @@ def rs_fixed_point(alpha: float, beta: float, model: CostModel,
     """
     if order < 32:
         raise ValueError(f"fixed-point quadrature order must be >= 32, got {order}")
-    if beta <= 0:
-        raise ValueError("beta must be positive")
+    _check_replica_inputs(alpha, beta)
     if alpha <= 1.0:
         return RsSolution(q=math.inf, chi=math.inf, eta=math.nan, delta=math.nan,
                           alpha=alpha, beta=beta, divergent=True)
@@ -134,8 +139,8 @@ def marchenko_pastur(alpha: float) -> SpectralStats:
     <1/lambda^2> diverge and q with them; eps is 0 because a perfect hedge
     exists in that phase.
     """
-    if alpha <= 0:
-        raise ValueError("alpha must be positive")
+    if not 0 < alpha < math.inf:
+        raise ValueError("alpha must be positive and finite")
     lo = (1.0 - math.sqrt(alpha)) ** 2
     hi = (1.0 + math.sqrt(alpha)) ** 2
     if alpha <= 1.0:
@@ -181,15 +186,17 @@ def annealed_cost(model: str, alpha: float, s: float, gamma: float = None) -> fl
     mv: alpha*s^2/2; ad: 2*alpha*s/sqrt(2*pi); es: min over v >= 0 of
     alpha*(v*gamma + H(v/s)) by golden-section search (tolerance 1e-12 in v).
     """
-    if s < 0:
-        raise ValueError("spread s must be nonnegative")
+    if not math.isfinite(alpha):
+        raise ValueError("alpha must be finite")
+    if not 0 <= s < math.inf:
+        raise ValueError("spread s must be nonnegative and finite")
     if model == "mv":
         return 0.5 * alpha * s * s
     if model == "ad":
         return 2.0 * alpha * s / _SQRT_2PI
     if model == "es":
-        if gamma is None or gamma <= 0:
-            raise ValueError("expected-shortfall cost requires gamma > 0")
+        if gamma is None or not 0 < gamma < math.inf:
+            raise ValueError("expected-shortfall cost requires a finite gamma > 0")
         if s == 0.0:
             return 0.0  # limit: v -> 0 kills both terms
         log_arg = gamma * _SQRT_2PI * s

@@ -205,6 +205,23 @@ class TestTheoryCommand:
         assert code == 0
         assert record["value"] == pytest.approx(4.0 / np.sqrt(2.0 * np.pi), rel=1e-10)
 
+    @pytest.mark.parametrize("argv", [
+        ["replica", "--alpha", "2", "--beta", "nan", "--model", "ad"],
+        ["replica", "--alpha", "2", "--beta", "inf", "--model", "mv"],
+        ["replica", "--alpha", "nan"],
+        ["mp", "--alpha", "nan"],
+        ["annealed", "--alpha", "2", "--model", "es", "--s", "inf", "--gamma", "0.05"],
+        ["annealed", "--alpha", "2", "--model", "es", "--s", "nan", "--gamma", "0.05"],
+        ["annealed", "--alpha", "2", "--model", "es", "--s", "1", "--gamma", "nan"],
+    ])
+    def test_non_finite_inputs_are_usage_errors(self, capsys, argv):
+        code = main(["theory", *argv])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err.startswith("bpfolio: error:")
+        assert "Traceback" not in captured.err
+
     def test_replica_rejects_expected_shortfall(self, capsys):
         code = main(["theory", "replica", "--alpha", "2", "--model", "es"])
         assert code == 1

@@ -4,9 +4,10 @@ import pytest
 
 from bpfolio.channels import channel_mean_variance
 from bpfolio.engine import (
-    AD_BETA_SCHEDULE,
+    AD_BETA_TOP,
     DivergenceDetected,
     asset_sweep,
+    beta_ladder,
     default_config,
     init_state,
     observables,
@@ -55,7 +56,7 @@ class TestDefaultConfig:
     def test_mean_variance_runs_to_the_delta_floor(self):
         config = default_config(MEAN_VARIANCE)
         assert config.beta == 1.0
-        assert config.beta_schedule is None
+        assert config.anneal is False
         assert config.tol == 1e-14
 
     def test_mean_variance_beta_passthrough(self):
@@ -63,9 +64,9 @@ class TestDefaultConfig:
 
     def test_absolute_deviation_gets_annealing_ramp(self):
         config = default_config(ABSOLUTE_DEVIATION)
-        assert config.beta == float(2 ** 20)
-        assert config.beta_schedule == AD_BETA_SCHEDULE
-        ladder = config.beta_ladder()
+        assert config.beta == AD_BETA_TOP == float(2 ** 20)
+        assert config.anneal is True
+        ladder = beta_ladder(config)
         # 2560 geometric steps undershoot the top by rounding, so the clamp
         # appends the exact final beta as entry 2562
         assert len(ladder) == 2562
@@ -75,12 +76,12 @@ class TestDefaultConfig:
     def test_absolute_deviation_low_beta_is_plain(self):
         config = default_config(ABSOLUTE_DEVIATION, beta=0.5)
         assert config.beta == 0.5
-        assert config.beta_schedule is None
+        assert config.anneal is False
 
     def test_generic_defaults(self):
         config = default_config(generic_model(lambda u: u ** 4))
         assert config.beta == 1.0
-        assert config.beta_schedule is None
+        assert config.anneal is False
         assert config.tol == 1e-10
 
 
@@ -185,7 +186,7 @@ class TestSolveMeanVariance:
 
     def test_ladder_walk_reaches_same_fixed_point(self):
         rs = generate_returns(30, 90, 6)
-        config = BpConfig(beta=8.0, beta_schedule=(1.0, 2.0, 8.0), tol=1e-14)
+        config = BpConfig(beta=8.0, anneal=True, tol=1e-14)
         port, diag = solve(rs, MEAN_VARIANCE, config)
         assert diag.converged
         exact = exact_mean_variance(rs)

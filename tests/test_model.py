@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from bpfolio.engine import BETA_RAMP_FACTOR, beta_ladder
 from bpfolio.model import (
     ABSOLUTE_DEVIATION,
     MEAN_VARIANCE,
@@ -87,20 +88,19 @@ class TestGenerateReturns:
 class TestPortfolio:
     def test_budget_defaults_to_size(self):
         port = Portfolio(positions=np.array([2.0, 1.0, 0.0]))
-        assert port.budget == 3.0
         assert port.n_assets == 3
         assert port.budget_gap() == pytest.approx(0.0)
         assert port.is_feasible()
 
     def test_budget_gap_signed(self):
-        port = Portfolio(positions=np.array([2.0, 2.0]), budget=2.0)
+        port = Portfolio(positions=np.array([2.0, 2.0]))
         assert port.budget_gap() == pytest.approx(2.0)
         assert not port.is_feasible()
 
     def test_feasibility_tolerance_scales_with_size(self):
         positions = np.ones(100)
         positions[0] += 5e-8
-        port = Portfolio(positions=positions, budget=100.0)
+        port = Portfolio(positions=positions)
         assert port.is_feasible(tol=1e-9)
         assert not port.is_feasible(tol=1e-10)
 
@@ -141,7 +141,7 @@ class TestBpConfig:
         assert config.damping == 0.5
         assert config.tol == 1e-10
         assert config.max_sweeps == 5000
-        assert config.beta_schedule is None
+        assert config.anneal is False
 
     @pytest.mark.parametrize("kwargs", [
         {"beta": 0.0},
@@ -153,35 +153,31 @@ class TestBpConfig:
         {"tol": 0.0},
         {"tol": math.nan},
         {"max_sweeps": 0},
-        {"beta_schedule": (0.0, 2.0, 8.0)},
-        {"beta_schedule": (4.0, 2.0, 2.0)},
-        {"beta_schedule": (1.0, 1.0, 8.0)},
-        {"beta_schedule": (1.0, 0.5, 8.0)},
+        {"beta": 0.5, "anneal": True},  # the ramp starts at beta = 1
     ])
     def test_rejects_bad_values(self, kwargs):
         with pytest.raises(ValueError):
             BpConfig(**kwargs)
 
-    def test_rejects_absurdly_fine_schedule(self):
-        with pytest.raises(ValueError, match="million rungs"):
-            BpConfig(beta=2.0, beta_schedule=(1.0, 1.0 + 1e-9, 2.0))
-
     def test_ladder_without_schedule_is_single_beta(self):
-        assert BpConfig(beta=3.0).beta_ladder() == [3.0]
+        assert beta_ladder(BpConfig(beta=3.0)) == [3.0]
 
     def test_ladder_geometric(self):
-        config = BpConfig(beta=8.0, beta_schedule=(1.0, 2.0, 8.0))
-        assert config.beta_ladder() == [1.0, 2.0, 4.0, 8.0]
+        ladder = beta_ladder(BpConfig(beta=8.0, anneal=True))
+        assert ladder[0] == 1.0
+        ratios = np.array(ladder[1:]) / np.array(ladder[:-1])
+        assert np.all(ratios > 1.0)
+        assert np.all(ratios <= BETA_RAMP_FACTOR)
 
     def test_ladder_clamps_to_final(self):
-        config = BpConfig(beta=10.0, beta_schedule=(1.0, 2.0, 10.0))
-        ladder = config.beta_ladder()
-        assert ladder == [1.0, 2.0, 4.0, 8.0, 10.0]
-        assert ladder[-1] == 10.0
+        # 3 is not a power of the ramp factor, so the last step is clamped
+        ladder = beta_ladder(BpConfig(beta=3.0, anneal=True))
+        assert ladder[-1] == 3.0
+        assert ladder[-2] < 3.0 < ladder[-2] * BETA_RAMP_FACTOR
+        assert np.all(np.diff(ladder) > 0.0)
 
     def test_ladder_degenerate_schedule(self):
-        config = BpConfig(beta=1.0, beta_schedule=(1.0, 2.0, 1.0))
-        assert config.beta_ladder() == [1.0]
+        assert beta_ladder(BpConfig(beta=1.0, anneal=True)) == [1.0]
 
 
 class TestReturnsCsv:

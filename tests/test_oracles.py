@@ -25,7 +25,8 @@ class TestExactMeanVariance:
         # XX^T = diag(1,4): w ~ (1, 1/4) scaled to budget 2 -> (1.6, 0.4)
         port = exact_mean_variance(DIAGONAL_2X2)
         assert port.positions == pytest.approx([1.6, 0.4], abs=1e-12)
-        assert port.budget == 2.0
+        assert port.budget_gap() == pytest.approx(0.0, abs=1e-12)
+        assert port.is_feasible(tol=1e-12)
 
     def test_identity_instance_is_uniform(self):
         port = exact_mean_variance(ReturnSet(np.eye(2)))
@@ -50,6 +51,15 @@ class TestExactMeanVariance:
         row = np.arange(1.0, 7.0)
         with pytest.raises(SingularInstanceError):
             exact_mean_variance(ReturnSet(np.array([row, row, 2 * row])))
+
+    def test_ill_conditioned_instance_rejected(self):
+        # full rank, condition ~4e14: Cholesky succeeds and the residual stays
+        # near 1e-10, so only the condition check stops it
+        rng = np.random.default_rng(0)
+        a = rng.standard_normal(50)
+        rows = [a, a + 1e-7 * rng.standard_normal(50), rng.standard_normal(50)]
+        with pytest.raises(SingularInstanceError, match="condition estimate .* exceeds 1e12"):
+            exact_mean_variance(ReturnSet(np.array(rows)))
 
 
 class TestConvexOracle:
@@ -76,7 +86,7 @@ class TestConvexOracle:
         for candidate in (exact_mean_variance(rs).positions, uniform):
             from bpfolio.model import Portfolio
             _, eps_candidate = observables(
-                Portfolio(positions=candidate, budget=float(rs.n_assets)),
+                Portfolio(positions=candidate),
                 rs, ABSOLUTE_DEVIATION)
             assert eps_opt <= eps_candidate + 1e-9
 
@@ -128,6 +138,6 @@ class TestTwoAssetKinks:
         from bpfolio.model import Portfolio
         for shift in (-0.01, 0.01, -1.0, 1.0):
             w1 = port.positions[0] + shift
-            neighbor = Portfolio(positions=np.array([w1, 2.0 - w1]), budget=2.0)
+            neighbor = Portfolio(positions=np.array([w1, 2.0 - w1]))
             _, eps_neighbor = observables(neighbor, rs, ABSOLUTE_DEVIATION)
             assert eps_best <= eps_neighbor + 1e-12

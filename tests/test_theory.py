@@ -203,7 +203,7 @@ class TestPortfolioSimilarity:
 
     def test_opposite_is_minus_one(self):
         a = Portfolio(positions=np.array([3.0, -1.0]))
-        b = Portfolio(positions=np.array([-3.0, 1.0]), budget=-2.0)
+        b = Portfolio(positions=np.array([-3.0, 1.0]))
         assert portfolio_similarity(a, b) == pytest.approx(-1.0, abs=1e-15)
 
     def test_length_mismatch_rejected(self):
@@ -213,7 +213,7 @@ class TestPortfolioSimilarity:
             portfolio_similarity(a, b)
 
     def test_zero_vector_rejected(self):
-        a = Portfolio(positions=np.array([0.0, 0.0]), budget=0.0)
+        a = Portfolio(positions=np.array([0.0, 0.0]))
         b = Portfolio(positions=np.array([1.0, 1.0]))
         with pytest.raises(ValueError, match="zero portfolio"):
             portfolio_similarity(a, b)
