@@ -1,27 +1,15 @@
-"""Ground-truth solvers: closed-form mean-variance, smoothed convex descent, N=2 kink scan."""
+"""Ground-truth solvers: closed-form mean-variance, absolute-deviation LP, N=2 kink scan."""
 from __future__ import annotations
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
-from scipy.optimize import minimize
+from scipy.optimize import linprog
 
 from .model import CostModel, Portfolio, ReturnSet
-
-_SMOOTHING_LADDER = tuple(10.0 ** -k for k in range(2, 9))  # 1e-2 annealed to 1e-8
-_EVAL_CAP = 1_000_000
-_FINAL_GTOL = 1e-10  # L-BFGS-B gradient tolerance on the last smoothing rung
 
 
 class SingularInstanceError(ValueError):
     """The period correlation matrix is numerically singular (alpha <= 1 or degenerate data)."""
-
-
-class OracleConvergenceError(RuntimeError):
-    """Smoothed descent exhausted its evaluation budget; carries the best objective seen."""
-
-    def __init__(self, message: str, best_objective: float):
-        super().__init__(message)
-        self.best_objective = best_objective
 
 
 def exact_mean_variance(returns: ReturnSet) -> Portfolio:
@@ -59,82 +47,31 @@ def exact_mean_variance(returns: ReturnSet) -> Portfolio:
     return Portfolio(positions=positions)
 
 
-def _smoothed_objective(returns: ReturnSet, model: CostModel, delta: float):
-    """Objective (1/N)*sum_mu R(u_mu) and gradient on the budget hyperplane chart.
-
-    The last position is eliminated through the budget constraint, so descent
-    iterates are feasible by construction. |u| is smoothed to sqrt(u^2+delta^2).
-    """
-    x = returns.entries
-    n = returns.n_assets
-    scale = 1.0 / np.sqrt(n)
-
-    def assemble(free: np.ndarray) -> np.ndarray:
-        return np.concatenate([free, [n - free.sum()]])
-
-    def value_and_grad(free: np.ndarray):
-        w = assemble(free)
-        u = x.T @ w * scale
-        if model.kind == "mv":
-            value = 0.5 * float(u @ u) / n
-            du = u
-        elif model.kind == "ad":
-            smooth = np.sqrt(u * u + delta * delta)
-            value = float(smooth.sum()) / n
-            du = u / smooth
-        else:
-            raise ValueError(f"convex oracle supports mv and ad costs, got {model.kind!r}")
-        grad_w = (x @ du) * scale / n
-        return value, grad_w[:-1] - grad_w[-1]
-
-    return assemble, value_and_grad
-
-
 def convex_oracle(returns: ReturnSet, model: CostModel) -> Portfolio:
-    """Independent minimizer of the budget-constrained cost by smoothed descent.
+    """Exact absolute-deviation optimum as one linear program (HiGHS).
 
-    Runs quasi-Newton descent on the constraint chart while annealing the
-    absolute-value smoothing from 1e-2 to 1e-8, warm-starting each rung.
-    Deterministic; raises OracleConvergenceError if the evaluation budget is
-    exhausted before the final rung converges to _FINAL_GTOL.
+    Splitting each period return u = x^T w / sqrt(N) into s+ - s- with
+    s+, s- >= 0, the cost sum|u| becomes the LP: min sum(s+ + s-)
+    subject to x^T w / sqrt(N) - s+ + s- = 0 and sum(w) = N, with w free.
+    Only the ad cost is linear here; mv has the closed form exact_mean_variance.
     """
-    n = returns.n_assets
-    free = np.ones(n - 1)
-    evaluations = 0
-    best = np.inf
-    ladder = _SMOOTHING_LADDER if model.kind == "ad" else (0.0,)
-    assemble = None
-    for rung, delta in enumerate(ladder):
-        if evaluations >= _EVAL_CAP:
-            raise OracleConvergenceError(
-                f"evaluation cap {_EVAL_CAP} reached at smoothing {delta:g} "
-                f"with best objective {best:.12g}",
-                best_objective=best,
-            )
-        assemble, value_and_grad = _smoothed_objective(returns, model, delta)
-        final = rung == len(ladder) - 1
-        result = minimize(
-            value_and_grad,
-            free,
-            jac=True,
-            method="L-BFGS-B",
-            options={
-                "maxiter": 20_000,
-                "maxfun": _EVAL_CAP - evaluations,
-                "ftol": 1e-18,
-                "gtol": _FINAL_GTOL if final else 1e-9,
-            },
-        )
-        free = result.x
-        evaluations += result.nfev
-        best = min(best, float(result.fun))
-    if evaluations >= _EVAL_CAP and result.status == 1:
-        raise OracleConvergenceError(
-            f"evaluation cap {_EVAL_CAP} reached on the final smoothing rung "
-            f"with best objective {best:.12g}",
-            best_objective=best,
-        )
-    return Portfolio(positions=assemble(free))
+    if model.kind != "ad":
+        raise ValueError(f"convex oracle solves the ad cost only, got {model.kind!r}; "
+                         "use exact_mean_variance for mv")
+    x = returns.entries
+    n, p = x.shape
+    eye = np.eye(p)
+    result = linprog(
+        c=np.concatenate([np.zeros(n), np.ones(2 * p)]),
+        A_eq=np.block([[x.T / np.sqrt(n), -eye, eye],
+                       [np.ones(n), np.zeros(2 * p)]]),
+        b_eq=np.concatenate([np.zeros(p), [float(n)]]),
+        bounds=[(None, None)] * n + [(0.0, None)] * (2 * p),
+        method="highs",
+    )
+    if result.status != 0:
+        raise RuntimeError(f"absolute-deviation LP failed: {result.message}")
+    return Portfolio(positions=result.x[:n])
 
 
 def ad_two_asset_kinks(returns: ReturnSet) -> Portfolio:

@@ -116,8 +116,8 @@ def mp_bulk_expectation(alpha: float, f: Callable[[float], float]) -> float:
     The substitution lambda = m + r*sin(theta) absorbs the square-root edges,
     leaving a smooth integrand for the adaptive rule.
     """
-    if alpha <= 0:
-        raise ValueError("alpha must be positive")
+    if not 0 < alpha < math.inf:
+        raise ValueError("alpha must be positive and finite")
     lo = (1.0 - math.sqrt(alpha)) ** 2
     hi = (1.0 + math.sqrt(alpha)) ** 2
     mid = 0.5 * (hi + lo)
@@ -186,8 +186,8 @@ def annealed_cost(model: str, alpha: float, s: float, gamma: float = None) -> fl
     mv: alpha*s^2/2; ad: 2*alpha*s/sqrt(2*pi); es: min over v >= 0 of
     alpha*(v*gamma + H(v/s)) by golden-section search (tolerance 1e-12 in v).
     """
-    if not math.isfinite(alpha):
-        raise ValueError("alpha must be finite")
+    if not 0 < alpha < math.inf:
+        raise ValueError("alpha must be positive and finite")
     if not 0 <= s < math.inf:
         raise ValueError("spread s must be nonnegative and finite")
     if model == "mv":

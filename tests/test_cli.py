@@ -213,8 +213,10 @@ class TestTheoryCommand:
         ["annealed", "--alpha", "2", "--model", "es", "--s", "inf", "--gamma", "0.05"],
         ["annealed", "--alpha", "2", "--model", "es", "--s", "nan", "--gamma", "0.05"],
         ["annealed", "--alpha", "2", "--model", "es", "--s", "1", "--gamma", "nan"],
+        ["annealed", "--alpha", "-2", "--model", "ad", "--s", "1"],
+        ["annealed", "--alpha", "0", "--model", "mv", "--s", "1"],
     ])
-    def test_non_finite_inputs_are_usage_errors(self, capsys, argv):
+    def test_invalid_inputs_are_usage_errors(self, capsys, argv):
         code = main(["theory", *argv])
         captured = capsys.readouterr()
         assert code == 1

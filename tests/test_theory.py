@@ -115,6 +115,11 @@ class TestMarchenkoPastur:
         with pytest.raises(ValueError):
             marchenko_pastur(0.0)
 
+    @pytest.mark.parametrize("alpha", [float("nan"), float("inf"), 0.0])
+    def test_bulk_expectation_alpha_validation(self, alpha):
+        with pytest.raises(ValueError, match="alpha"):
+            mp_bulk_expectation(alpha, lambda lam: 1.0)
+
     def test_density_zero_outside_support(self):
         lam = np.array([0.01, 0.17, 5.83, 10.0])
         assert np.all(mp_bulk_density(2.0, lam) == 0.0)
@@ -188,6 +193,8 @@ class TestAnnealedCost:
             annealed_cost("es", 2.0, 1.0)
         with pytest.raises(ValueError, match="unknown"):
             annealed_cost("huber", 2.0, 1.0)
+        with pytest.raises(ValueError, match="alpha"):
+            annealed_cost("ad", -2.0, 1.0)
 
 
 class TestPortfolioSimilarity:
