@@ -5,6 +5,12 @@ Z(h) = integral Dz g(z*sqrt(chi_tilde) + h) with g(u) = exp(-beta*R(u)):
 m_u = d/dh log Z and chi_u = -d^2/dh^2 log Z. Closed forms cover the
 mean-variance and absolute-deviation costs; arbitrary costs go through
 adaptive quadrature.
+
+The absolute-deviation cost also has a max-sum channel, the beta -> infinity
+form of the same derivatives with Z replaced by its Laplace (maximum) term:
+the proximal map of beta*|u|, a clip. The engine uses it for a
+zero-temperature solve (see engine.zero_temperature); channel_for always
+returns the finite-temperature channels.
 """
 from __future__ import annotations
 
@@ -80,6 +86,19 @@ def channel_absolute_deviation(h, chi_tilde, beta):
     chi_u = np.maximum(-beta * (1.0 - t * t) * slope, 0.0)
     if m_u.ndim == 0:
         return float(m_u), float(chi_u)
+    return m_u, chi_u
+
+
+def channel_absolute_deviation_max_sum(h, chi_tilde, beta):
+    """Max-sum (zero-temperature) form of the R(u) = |u| channel: the prox of beta*|u|.
+
+    The posterior mode of u under exp(-(u-h)^2/(2 chi_tilde) - beta*|u|) is the
+    soft threshold of h at beta*chi_tilde, so m = (u* - h)/chi_tilde =
+    -clip(h/chi_tilde, -beta, beta) and chi = -dm/dh is 1/chi_tilde inside the
+    threshold and 0 outside it. Only arithmetic: no Gaussian tails, no masks.
+    """
+    m_u = np.clip(-h / chi_tilde, -beta, beta)
+    chi_u = (np.abs(h) < beta * chi_tilde) / chi_tilde
     return m_u, chi_u
 
 

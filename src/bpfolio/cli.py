@@ -3,6 +3,7 @@ references, theory queries, and mean-variance vs absolute-deviation comparisons.
 from __future__ import annotations
 
 import argparse
+import ast
 import dataclasses
 import json
 import math
@@ -89,23 +90,67 @@ def _emit(text: str, out_path: str | None) -> None:
         raise
 
 
+_COST_FUNCTIONS = {
+    "abs": np.abs, "sqrt": np.sqrt, "exp": np.exp, "log": np.log,
+    "log1p": np.log1p, "cosh": np.cosh, "sinh": np.sinh, "tanh": np.tanh,
+    "maximum": np.maximum, "minimum": np.minimum, "where": np.where,
+    "sign": np.sign,
+}
+# arithmetic and comparison operators; anything else in the tree is rejected
+_COST_OPERATORS = (
+    ast.Add, ast.Sub, ast.Mult, ast.Div, ast.FloorDiv, ast.Mod, ast.Pow,
+    ast.UAdd, ast.USub, ast.Eq, ast.NotEq, ast.Lt, ast.LtE, ast.Gt, ast.GtE,
+)
+_COST_SYNTAX = (ast.Expression, ast.Load, ast.BinOp, ast.UnaryOp, ast.Compare, ast.Call,
+                ast.Name, ast.Constant) + _COST_OPERATORS
+
+
+def _check_cost_tree(tree: ast.Expression) -> str | None:
+    """What in the tree a cost expression may not contain, or None when nothing."""
+    callees = set()
+    for node in ast.walk(tree):
+        if not isinstance(node, _COST_SYNTAX):
+            return f"{type(node).__name__} syntax"
+        if isinstance(node, ast.Call):
+            if not (isinstance(node.func, ast.Name) and node.func.id in _COST_FUNCTIONS):
+                return "a call to anything but " + ", ".join(sorted(_COST_FUNCTIONS))
+            if node.keywords:
+                return "a keyword argument"
+            callees.add(node.func)
+        elif isinstance(node, ast.Name):
+            if node not in callees and node.id not in ("u", "pi", "e"):
+                return f"the name {node.id!r}"
+        elif isinstance(node, ast.Constant):
+            if not isinstance(node.value, (int, float)) or isinstance(node.value, bool):
+                return f"the constant {node.value!r}"
+    return None
+
+
 def _cost_from_expression(expression: str):
-    """Cost callable from a numpy expression in the scalar/array variable u."""
-    scope = {
-        "__builtins__": {},
-        "abs": np.abs, "sqrt": np.sqrt, "exp": np.exp, "log": np.log,
-        "log1p": np.log1p, "cosh": np.cosh, "sinh": np.sinh, "tanh": np.tanh,
-        "maximum": np.maximum, "minimum": np.minimum, "where": np.where,
-        "sign": np.sign, "pi": np.pi, "e": np.e, "np": np,
-    }
+    """Cost callable from an arithmetic expression in the scalar/array variable u.
+
+    The expression may use u, pi, e, numeric constants, arithmetic and
+    comparison operators and positional calls to the functions in
+    _COST_FUNCTIONS, nothing else (no attributes, subscripts, strings or
+    lambdas). It is checked on its syntax tree, then compiled once.
+    """
     try:
-        code = compile(expression, "<cost-expr>", "eval")
+        tree = ast.parse(expression, "<cost-expr>", "eval")
     except SyntaxError as exc:
         raise ReturnsParseError(f"--cost-expr {expression!r} is not an expression: "
                                 f"{exc.msg}") from None
+    reason = _check_cost_tree(tree)
+    if reason is not None:
+        raise ReturnsParseError(f"--cost-expr {expression!r}: {reason} is not allowed")
+    code = compile(tree, "<cost-expr>", "eval")
+    scope = {"__builtins__": {}, **_COST_FUNCTIONS, "pi": np.pi, "e": np.e}
 
     def cost(u):
-        return eval(code, scope, {"u": u})
+        try:
+            return eval(code, scope, {"u": u})
+        except (ArithmeticError, TypeError, ValueError) as exc:
+            raise ReturnsParseError(
+                f"--cost-expr {expression!r} failed on evaluation: {exc}") from None
 
     return cost
 
@@ -178,12 +223,16 @@ def _mean_and_se(values) -> tuple[float, float]:
 
 
 def _replica_overlap(model: CostModel, alpha: float, beta: float) -> float:
-    """Replica overlap q for the sweep column: the mv closed form, the ad fixed
-    point (nan where it fails), and nan for a generic cost, which has no theory here."""
+    """Replica overlap q for the sweep column: the mv closed form, the ad
+    zero-temperature closed form for a zero-temperature solve, else the ad
+    fixed point at beta (nan where it fails), and nan for a generic cost,
+    which has no theory here."""
     if model.kind == "mv":
         return alpha / (alpha - 1.0)
     if model.kind != "ad":
         return math.nan
+    if engine.zero_temperature(model, engine.default_config(model, beta)):
+        return theory.rs_zero_temperature_ad(alpha)
     try:
         return theory.rs_fixed_point(alpha, beta, model).q
     except RuntimeError:
@@ -197,14 +246,17 @@ def run_sweep(model: CostModel, alphas, n_assets: int, trials: int, base_seed: i
     """Monte-Carlo sweep over alpha; returns the CSV text (schema is fixed).
 
     Per-trial seed is base_seed + trial index. Statistics cover non-diverged
-    trials (at the absolute-deviation ladder top the residual update chatter
-    sits well above tol, so the converged flag would exclude everything while
-    the portfolio is accurate to a few 1e-5). The mean-variance references are
-    the closed forms q = alpha/(alpha-1) and eps = (alpha-1)/2. The
-    absolute-deviation q reference is the replica fixed point at the final
-    beta of the solve (the ladder top, 2^20 by default), nan where that fixed
-    point does not converge; its eps has no closed form and is reported nan.
-    A generic cost has neither reference, so both columns are nan.
+    trials (an annealed absolute-deviation solve averages over its hold phase
+    and reports converged=False while the portfolio is accurate to a few
+    1e-5). The mean-variance references are the closed forms
+    q = alpha/(alpha-1) and eps = (alpha-1)/2. The default absolute-deviation
+    sweep (no beta, or one of at least 2^20) is zero-temperature: its trials
+    run max-sum BP and its q reference is the closed form
+    theory.rs_zero_temperature_ad (2.485 at alpha=2). An explicit beta below
+    2^20 solves at finite temperature, and its q reference is the replica
+    fixed point at that beta, nan where that fixed point does not converge.
+    The absolute-deviation eps has no closed form and is reported nan. A
+    generic cost has neither reference, so both columns are nan.
     """
     config = engine.default_config(model, beta)
     lines = [SWEEP_CSV_HEADER]
@@ -342,8 +394,10 @@ def _build_parser() -> _Parser:
     solve.add_argument("--p", type=int, help="number of periods (random mode)")
     solve.add_argument("--seed", type=int)
     solve.add_argument("--beta", type=float, help="inverse temperature "
-                       "(mv/generic: run value; ad: ladder top, default 2^20)")
-    solve.add_argument("--cost-expr", help="generic cost R(u) as a numpy expression in u")
+                       "(mv/generic: run value; ad: ladder top, default 2^20 and "
+                       "zero-temperature, finite-temperature below 2^20)")
+    solve.add_argument("--cost-expr", help="generic cost R(u): arithmetic in u, pi, e and "
+                       "the functions " + ", ".join(_COST_FUNCTIONS))
     solve.add_argument("--order", type=int, default=64, help="generic quadrature order")
     solve.add_argument("--center", action="store_true",
                        help="subtract per-asset means when loading from file")

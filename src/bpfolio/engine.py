@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .channels import channel_for
+from .channels import channel_absolute_deviation_max_sum, channel_for
 from .model import (
     BpConfig,
     BpState,
@@ -43,8 +43,12 @@ def default_config(model: CostModel, beta: float = None) -> BpConfig:
 
     The absolute-deviation optimum needs beta -> infinity; ramping beta a tiny
     factor per sweep keeps the state glued to the moving fixed point all the
-    way up. For the mean-variance cost the fixed point is beta-independent, so
-    beta=1 is as exact as any other choice and needs no ramp.
+    way up. With no beta (or one of at least AD_BETA_TOP) that solve is
+    zero-temperature: it runs the max-sum channel on every rung (see
+    zero_temperature). An explicit top below AD_BETA_TOP anneals the
+    finite-temperature channel to that beta instead. For the mean-variance
+    cost the fixed point is beta-independent, so beta=1 is as exact as any
+    other choice and needs no ramp.
     """
     if model.kind == "ad":
         top = float(beta) if beta is not None else AD_BETA_TOP
@@ -58,6 +62,17 @@ def default_config(model: CostModel, beta: float = None) -> BpConfig:
         # closed-form match holds per component.
         return BpConfig(beta=float(beta) if beta is not None else 1.0, tol=1e-14)
     return BpConfig(beta=float(beta) if beta is not None else 1.0)
+
+
+def zero_temperature(model: CostModel, config: BpConfig) -> bool:
+    """Whether a solve targets the beta -> infinity absolute-deviation optimum.
+
+    That is an annealed `ad` solve whose top is at least AD_BETA_TOP, where the
+    finite-temperature channel already sits within 1e-3 of its max-sum limit;
+    such a solve runs channel_absolute_deviation_max_sum on every rung, and its
+    replica overlap is theory.rs_zero_temperature_ad.
+    """
+    return model.kind == "ad" and config.anneal and config.beta >= AD_BETA_TOP
 
 
 def beta_ladder(config: BpConfig) -> list[float]:
@@ -155,6 +170,11 @@ def solve(returns: ReturnSet, model: CostModel, config: BpConfig = None):
     DIVERGENCE_THRESHOLD, nonpositive cavity variances, or non-finite values)
     marks the run instead of raising; the partial state is returned.
 
+    A zero-temperature solve (see zero_temperature) uses the max-sum `ad`
+    channel in place of channel_for(model), and projects each iterate back
+    onto the budget, which the closure alone holds only to roundoff times
+    the size of chi_w.
+
     Reported portfolio: the final m_w when the run converges (an exact fixed
     point) or diverges (partial state, flagged). An annealed run that ends the
     hold phase still above tol reports the burn-in-discarded time average of
@@ -169,7 +189,8 @@ def solve(returns: ReturnSet, model: CostModel, config: BpConfig = None):
     squares = x * x
     n = returns.n_assets
     state = init_state(returns)
-    channel = channel_for(model)
+    zero_t = zero_temperature(model, config)
+    channel = channel_absolute_deviation_max_sum if zero_t else channel_for(model)
     ladder = beta_ladder(config)
     ramp_sweeps = len(ladder) - 1  # sweeps before the final beta
 
@@ -185,6 +206,11 @@ def solve(returns: ReturnSet, model: CostModel, config: BpConfig = None):
             previous = state.m_w
             period_sweep(state, returns, squares, channel, beta, config.damping)
             asset_sweep(state, returns, squares, config.damping)
+            if zero_t:
+                # the max-sum variances have no scale of their own: on small
+                # instances chi_w drifts to 1e9 and beyond, where the budget
+                # closure keeps only a few digits, so re-impose sum m_w = N
+                state.m_w += (n - state.m_w.sum()) / n
             total += 1
             delta = float(np.max(
                 np.abs(state.m_w - previous) / np.maximum(1.0, np.abs(state.m_w))

@@ -7,6 +7,7 @@ from typing import Callable
 
 import numpy as np
 from scipy.integrate import quad
+from scipy.special import ndtr, ndtri
 
 from .channels import channel_for
 from .model import CostModel, Portfolio, RsSolution
@@ -97,6 +98,24 @@ def rs_fixed_point(alpha: float, beta: float, model: CostModel,
         f"replica fixed point did not converge in {_FIXED_POINT_CAP} iterations; "
         f"last residuals {['%.3e' % r for r in residuals[-5:]]}"
     )
+
+
+def rs_zero_temperature_ad(alpha: float) -> float:
+    """Replica overlap q of the absolute-deviation optimum, the beta -> infinity limit.
+
+    There the channel kernel is the clip -clip(h/chi, -beta, beta), so the
+    fixed point has a closed form: the clip level t solves P(|z| <= t) =
+    1/alpha, that is t = ndtri(1/2 + 1/(2*alpha)), and
+    q = 1/(1 - alpha*E[clip(z, -t, t)^2]) = 1/(2*alpha*t*(phi(t) - t*Phibar(t)))
+    for standard normal z. A finite alpha <= 1 gives inf, the divergent phase.
+    """
+    if not math.isfinite(alpha):
+        raise ValueError("alpha must be finite")
+    if alpha <= 1.0:
+        return math.inf
+    t = float(ndtri(0.5 + 0.5 / alpha))
+    density = math.exp(-0.5 * t * t) / _SQRT_2PI
+    return 1.0 / (2.0 * alpha * t * (density - t * float(ndtr(-t))))
 
 
 def mp_bulk_density(alpha: float, lam) -> np.ndarray:

@@ -1,9 +1,12 @@
 """Tests for the likelihood channels: closed forms, quadrature route, asymptotics."""
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from bpfolio.channels import (
     channel_absolute_deviation,
+    channel_absolute_deviation_max_sum,
     channel_for,
     channel_generic,
     channel_mean_variance,
@@ -126,6 +129,52 @@ class TestAbsoluteDeviationChannel:
             m, chi = channel_absolute_deviation(float(value), 1.5, 2.0)
             assert m_vec[i] == m
             assert chi_vec[i] == chi
+
+
+FIELDS = st.floats(-1e3, 1e3)
+VARIANCES = st.floats(1e-3, 1e3)
+BETAS = st.floats(1e-2, BETA_TOP)
+
+
+class TestAbsoluteDeviationMaxSumChannel:
+    def test_reference_points(self):
+        # inside the threshold m = -h/chi_tilde, beyond it m = -beta*sign(h)
+        m, chi = channel_absolute_deviation_max_sum(np.array([1.0, -3.0]), 0.5, 4.0)
+        assert m.tolist() == [-2.0, 4.0]
+        assert chi.tolist() == [2.0, 0.0]
+
+    @settings(derandomize=True, database=None, deadline=None)
+    @given(h=FIELDS, chi_tilde=VARIANCES, beta=BETAS)
+    def test_bounded_odd_and_nonnegative(self, h, chi_tilde, beta):
+        m, chi = channel_absolute_deviation_max_sum(h, chi_tilde, beta)
+        m_flip, chi_flip = channel_absolute_deviation_max_sum(-h, chi_tilde, beta)
+        assert chi >= 0.0
+        assert abs(m) <= beta
+        assert m_flip == -m
+        assert chi_flip == chi
+
+    @settings(derandomize=True, database=None, deadline=None)
+    @given(h=FIELDS, chi_tilde=VARIANCES, beta=BETAS)
+    def test_chi_matches_finite_difference_off_the_kink(self, h, chi_tilde, beta):
+        step = 1e-6 * max(1.0, abs(h))
+        assume(abs(abs(h) - beta * chi_tilde) > 2.0 * step)
+        _, chi = channel_absolute_deviation_max_sum(h, chi_tilde, beta)
+        fd = finite_difference_chi(channel_absolute_deviation_max_sum, h, chi_tilde, beta)
+        assert chi == pytest.approx(fd, rel=1e-6, abs=1e-12)
+
+    @settings(derandomize=True, database=None, deadline=None)
+    @given(ratio=st.floats(-3.0, 3.0), chi_tilde=VARIANCES)
+    def test_is_the_large_beta_limit_of_the_channel(self, ratio, chi_tilde):
+        # criterion 7's asymptote (1e-3), on both sides of the threshold
+        # |h| = beta*chi_tilde, away from the sqrt(chi_tilde)-wide crossover;
+        # the finite-temperature m = beta*tanh(A) carries a few beta ulps of
+        # absolute roundoff, which sets the floor near h = 0
+        assume(abs(abs(ratio) - 1.0) > 1e-2)
+        h = ratio * BETA_TOP * chi_tilde
+        m, chi = channel_absolute_deviation_max_sum(h, chi_tilde, BETA_TOP)
+        m_finite, chi_finite = channel_absolute_deviation(h, chi_tilde, BETA_TOP)
+        assert m_finite == pytest.approx(m, rel=1e-3, abs=1e-14 * BETA_TOP)
+        assert abs(chi_finite - chi) <= 1e-3 / chi_tilde
 
 
 class TestGenericChannel:

@@ -64,6 +64,38 @@ class TestSolveCommand:
         assert code == 1
         assert "bpfolio: error:" in capsys.readouterr().err
 
+    def test_cost_expression_cannot_reach_numpy(self, capsys, tmp_path):
+        target = tmp_path / "escaped.txt"
+        expression = f"u**2/2 + 0*np.savetxt({str(target)!r}, [1.0])"
+        code = main(["solve", "--model", "generic", "--cost-expr", expression,
+                     "--random", "--n", "2", "--p", "8"])
+        assert code == 1
+        assert "bpfolio: error:" in capsys.readouterr().err
+        assert not target.exists()
+
+    @pytest.mark.parametrize("expression", [
+        "().__class__.__base__.__subclasses__()",
+        "u + abs.__class__",
+        "u[0]",
+        "u + len('ab')",
+        "(lambda v: v)(u)",
+        "abs(u, out=u)",
+        "__import__('os').getcwd()",
+        "abs",
+        "u if u > 0 else -u",
+    ])
+    def test_cost_expression_outside_the_grammar_is_usage_error(self, capsys, expression):
+        code = main(["solve", "--model", "generic", "--cost-expr", expression,
+                     "--random", "--n", "2", "--p", "8"])
+        assert code == 1
+        assert "is not allowed" in capsys.readouterr().err
+
+    def test_cost_expression_failing_on_evaluation_is_usage_error(self, capsys):
+        code = main(["solve", "--model", "generic", "--cost-expr", "u**2/2 + 1/0",
+                     "--random", "--n", "2", "--p", "8"])
+        assert code == 1
+        assert "bpfolio: error:" in capsys.readouterr().err
+
     def test_non_finite_tolerance_is_usage_error(self, capsys):
         code = main(["solve", "--model", "mv", "--random", "--n", "10", "--p", "30",
                      "--tol", "nan"])

@@ -1,11 +1,15 @@
 """Tests for replica order parameters, spectral statistics, and annealed costs."""
 import math
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 import scipy.optimize
 import scipy.stats
 
+from bpfolio.cli import _replica_overlap
+from bpfolio.engine import AD_BETA_TOP
 from bpfolio.model import ABSOLUTE_DEVIATION, MEAN_VARIANCE, Portfolio
 from bpfolio.theory import (
     annealed_cost,
@@ -15,6 +19,7 @@ from bpfolio.theory import (
     portfolio_similarity,
     rs_closed_form_mv,
     rs_fixed_point,
+    rs_zero_temperature_ad,
 )
 
 
@@ -90,6 +95,51 @@ class TestFixedPoint:
             rs_fixed_point(2.0, 10.0, MEAN_VARIANCE, order=16)
         with pytest.raises(ValueError, match="beta"):
             rs_fixed_point(2.0, -1.0, MEAN_VARIANCE)
+
+
+def zero_temperature_overlap_by_root(alpha):
+    """q at beta -> infinity from a bracketed root of P(|z| <= t) = 1/alpha."""
+    norm = scipy.stats.norm
+    t = scipy.optimize.brentq(lambda s: (2.0 * norm.cdf(s) - 1.0) - 1.0 / alpha,
+                              0.0, 40.0, xtol=1e-15, rtol=1e-15)
+    clipped_sq = (2.0 * norm.cdf(t) - 1.0) - 2.0 * t * norm.pdf(t) + 2.0 * t * t * norm.sf(t)
+    return 1.0 / (1.0 - alpha * clipped_sq)
+
+
+class TestZeroTemperatureAd:
+    @pytest.mark.parametrize("alpha", [1.01, 1.5, 2.0, 5.0])
+    def test_matches_root_finding_reference(self, alpha):
+        reference = zero_temperature_overlap_by_root(alpha)
+        assert rs_zero_temperature_ad(alpha) == pytest.approx(reference, rel=1e-12)
+
+    def test_alpha_two_value(self):
+        assert rs_zero_temperature_ad(2.0) == pytest.approx(2.485017, abs=5e-7)
+
+    def test_divergent_phase_is_infinite(self):
+        for alpha in (-1.0, 0.5, 1.0):
+            assert rs_zero_temperature_ad(alpha) == math.inf
+
+    @pytest.mark.parametrize("alpha", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_alpha_rejected(self, alpha):
+        with pytest.raises(ValueError, match="alpha"):
+            rs_zero_temperature_ad(alpha)
+
+    def test_is_the_large_beta_limit_of_the_fixed_point(self):
+        solution = rs_fixed_point(2.0, AD_BETA_TOP, ABSOLUTE_DEVIATION)
+        assert solution.q == pytest.approx(rs_zero_temperature_ad(2.0), rel=1e-3)
+
+    def test_sweep_reference_is_finite_near_alpha_one(self):
+        # the fixed point at 2^20 does not converge here, and the column read nan
+        q = _replica_overlap(ABSOLUTE_DEVIATION, 1.01, AD_BETA_TOP)
+        assert math.isfinite(q)
+        assert q == rs_zero_temperature_ad(1.01)
+
+    def test_import_leaves_scipy_stats_unloaded(self):
+        # scipy.stats costs about half a second of start-up
+        probe = "import sys, bpfolio.theory; print('scipy.stats' in sys.modules)"
+        done = subprocess.run([sys.executable, "-c", probe], capture_output=True,
+                              text=True, check=True)
+        assert done.stdout.strip() == "False"
 
 
 class TestMarchenkoPastur:
