@@ -96,13 +96,14 @@ _COST_FUNCTIONS = {
     "maximum": np.maximum, "minimum": np.minimum, "where": np.where,
     "sign": np.sign,
 }
-# arithmetic and comparison operators; anything else in the tree is rejected
-_COST_OPERATORS = (
-    ast.Add, ast.Sub, ast.Mult, ast.Div, ast.FloorDiv, ast.Mod, ast.Pow,
+_COST_CONSTANTS = {"pi": np.pi, "e": np.e}
+# node types a cost expression may contain: arithmetic, comparisons, calls,
+# names and constants (the last three checked further in _check_cost_tree)
+_COST_SYNTAX = (
+    ast.Expression, ast.Load, ast.BinOp, ast.UnaryOp, ast.Compare, ast.Call, ast.Name,
+    ast.Constant, ast.Add, ast.Sub, ast.Mult, ast.Div, ast.FloorDiv, ast.Mod, ast.Pow,
     ast.UAdd, ast.USub, ast.Eq, ast.NotEq, ast.Lt, ast.LtE, ast.Gt, ast.GtE,
 )
-_COST_SYNTAX = (ast.Expression, ast.Load, ast.BinOp, ast.UnaryOp, ast.Compare, ast.Call,
-                ast.Name, ast.Constant) + _COST_OPERATORS
 
 
 def _check_cost_tree(tree: ast.Expression) -> str | None:
@@ -118,7 +119,7 @@ def _check_cost_tree(tree: ast.Expression) -> str | None:
                 return "a keyword argument"
             callees.add(node.func)
         elif isinstance(node, ast.Name):
-            if node not in callees and node.id not in ("u", "pi", "e"):
+            if node not in callees and node.id != "u" and node.id not in _COST_CONSTANTS:
                 return f"the name {node.id!r}"
         elif isinstance(node, ast.Constant):
             if not isinstance(node.value, (int, float)) or isinstance(node.value, bool):
@@ -143,7 +144,7 @@ def _cost_from_expression(expression: str):
     if reason is not None:
         raise ReturnsParseError(f"--cost-expr {expression!r}: {reason} is not allowed")
     code = compile(tree, "<cost-expr>", "eval")
-    scope = {"__builtins__": {}, **_COST_FUNCTIONS, "pi": np.pi, "e": np.e}
+    scope = {"__builtins__": {}, **_COST_FUNCTIONS, **_COST_CONSTANTS}
 
     def cost(u):
         try:

@@ -292,7 +292,7 @@ class TestSolveAbsoluteDeviationProperties:
         # negating every return negates the fields and the clip is odd, so
         # the iteration repeats itself exactly, diverged or not
         flipped, _ = solve(ReturnSet(-x), ABSOLUTE_DEVIATION)
-        assert np.max(np.abs(flipped.positions - port.positions)) <= 1e-12
+        assert np.array_equal(flipped.positions, port.positions, equal_nan=True)
         if diag.diverged:
             return  # a flagged partial state (frequent below five assets) promises nothing more
         assert abs(port.budget_gap()) <= 1e-10
