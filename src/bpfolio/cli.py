@@ -17,6 +17,7 @@ from . import engine, oracles, theory
 from .model import (
     ABSOLUTE_DEVIATION,
     MEAN_VARIANCE,
+    BpConfig,
     CostModel,
     ReturnsParseError,
     ReturnSet,
@@ -133,7 +134,9 @@ def _cost_from_expression(expression: str):
     The expression may use u, pi, e, numeric constants, arithmetic and
     comparison operators and positional calls to the functions in
     _COST_FUNCTIONS, nothing else (no attributes, subscripts, strings or
-    lambdas). It is checked on its syntax tree, then compiled once.
+    lambdas). It is checked on its syntax tree, then compiled once with every
+    constant a float, so that constant arithmetic overflows at once instead of
+    growing Python integers without bound (9**9**9 would never return).
     """
     try:
         tree = ast.parse(expression, "<cost-expr>", "eval")
@@ -143,6 +146,12 @@ def _cost_from_expression(expression: str):
     reason = _check_cost_tree(tree)
     if reason is not None:
         raise ReturnsParseError(f"--cost-expr {expression!r}: {reason} is not allowed")
+    try:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Constant):
+                node.value = float(node.value)
+    except OverflowError as exc:
+        raise ReturnsParseError(f"--cost-expr {expression!r}: {exc}") from None
     code = compile(tree, "<cost-expr>", "eval")
     scope = {"__builtins__": {}, **_COST_FUNCTIONS, **_COST_CONSTANTS}
 
@@ -223,19 +232,19 @@ def _mean_and_se(values) -> tuple[float, float]:
     return float(arr.mean()), float(arr.std(ddof=1) / math.sqrt(arr.size))
 
 
-def _replica_overlap(model: CostModel, alpha: float, beta: float) -> float:
-    """Replica overlap q for the sweep column: the mv closed form, the ad
-    zero-temperature closed form for a zero-temperature solve, else the ad
-    fixed point at beta (nan where it fails), and nan for a generic cost,
-    which has no theory here."""
+def _replica_overlap(model: CostModel, alpha: float, config: BpConfig) -> float:
+    """Replica overlap q for the sweep column of solves run with config: the
+    mv closed form, the ad zero-temperature closed form for a
+    zero-temperature solve, else the ad fixed point at config.beta (nan where
+    it fails), and nan for a generic cost, which has no theory here."""
     if model.kind == "mv":
         return alpha / (alpha - 1.0)
     if model.kind != "ad":
         return math.nan
-    if engine.zero_temperature(model, engine.default_config(model, beta)):
+    if engine.zero_temperature(model, config):
         return theory.rs_zero_temperature_ad(alpha)
     try:
-        return theory.rs_fixed_point(alpha, beta, model).q
+        return theory.rs_fixed_point(alpha, config.beta, model).q
     except RuntimeError:
         # near alpha = 1 the damped iteration contracts too slowly to reach
         # its tolerance within the iteration cap
@@ -279,7 +288,7 @@ def run_sweep(model: CostModel, alphas, n_assets: int, trials: int, base_seed: i
 
         q_mean, q_se = _mean_and_se(q_values)
         eps_mean, eps_se = _mean_and_se(eps_values)
-        q_replica = _replica_overlap(model, alpha, config.beta)
+        q_replica = _replica_overlap(model, alpha, config)
         eps_replica = (alpha - 1.0) / 2.0 if model.kind == "mv" else math.nan
         lines.append(
             f"{alpha:.10g},{q_mean:.10g},{q_se:.10g},{eps_mean:.10g},{eps_se:.10g},"

@@ -170,10 +170,13 @@ def solve(returns: ReturnSet, model: CostModel, config: BpConfig = None):
     DIVERGENCE_THRESHOLD, nonpositive cavity variances, or non-finite values)
     marks the run instead of raising; the partial state is returned.
 
-    A zero-temperature solve (see zero_temperature) uses the max-sum `ad`
-    channel in place of channel_for(model), and projects each iterate back
-    onto the budget, which the closure alone holds only to roundoff times
-    the size of chi_w.
+    A zero-temperature solve (see zero_temperature) first runs the max-sum
+    `ad` channel in place of channel_for(model), projecting each iterate back
+    onto the budget, which the closure alone holds only to roundoff times the
+    size of chi_w. The clip gives saturated periods chi_u = 0 exactly, so on
+    a few-asset instance a sweep can saturate every period and leave the
+    asset side without variance; when that run flags divergence, the solve
+    is repeated with the finite-temperature channel, whose result it reports.
 
     Reported portfolio: the final m_w when the run converges (an exact fixed
     point) or diverges (partial state, flagged). An annealed run that ends the
@@ -185,12 +188,21 @@ def solve(returns: ReturnSet, model: CostModel, config: BpConfig = None):
     """
     if config is None:
         config = default_config(model)
+    if zero_temperature(model, config):
+        portfolio, diagnostics = _iterate(returns, model, config, max_sum=True)
+        if not diagnostics.diverged:
+            return portfolio, diagnostics
+    return _iterate(returns, model, config, max_sum=False)
+
+
+def _iterate(returns: ReturnSet, model: CostModel, config: BpConfig, max_sum: bool):
+    """One run of solve: with max_sum, the max-sum `ad` channel and a
+    projection onto the budget after every sweep, else channel_for(model)."""
     x = returns.entries
     squares = x * x
     n = returns.n_assets
     state = init_state(returns)
-    zero_t = zero_temperature(model, config)
-    channel = channel_absolute_deviation_max_sum if zero_t else channel_for(model)
+    channel = channel_absolute_deviation_max_sum if max_sum else channel_for(model)
     ladder = beta_ladder(config)
     ramp_sweeps = len(ladder) - 1  # sweeps before the final beta
 
@@ -206,7 +218,7 @@ def solve(returns: ReturnSet, model: CostModel, config: BpConfig = None):
             previous = state.m_w
             period_sweep(state, returns, squares, channel, beta, config.damping)
             asset_sweep(state, returns, squares, config.damping)
-            if zero_t:
+            if max_sum:
                 # the max-sum variances have no scale of their own: on small
                 # instances chi_w drifts to 1e9 and beyond, where the budget
                 # closure keeps only a few digits, so re-impose sum m_w = N

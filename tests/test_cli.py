@@ -2,13 +2,15 @@
 import json
 import math
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
 from bpfolio import theory
 from bpfolio.cli import SWEEP_CSV_HEADER, _replica_overlap, main, run_sweep
-from bpfolio.model import ABSOLUTE_DEVIATION, MEAN_VARIANCE, generic_model
+from bpfolio.model import ABSOLUTE_DEVIATION, MEAN_VARIANCE, BpConfig, generic_model
 
 
 def run_json(capsys, argv):
@@ -96,6 +98,18 @@ class TestSolveCommand:
         assert code == 1
         assert "bpfolio: error:" in capsys.readouterr().err
 
+    def test_cost_expression_constant_power_tower_is_usage_error(self):
+        # with integer constants 9**9**9 is computed exactly and never returns;
+        # the child process and its timeout keep a regression from hanging the suite
+        argv = ["solve", "--model", "generic", "--cost-expr", "u**2/2 + 0*9**9**9",
+                "--random", "--n", "2", "--p", "8"]
+        probe = f"import sys; from bpfolio.cli import main; sys.exit(main({argv!r}))"
+        done = subprocess.run([sys.executable, "-c", probe], capture_output=True,
+                              text=True, timeout=60)
+        assert done.returncode == 1
+        assert "bpfolio: error:" in done.stderr
+        assert "Traceback" not in done.stderr
+
     def test_non_finite_tolerance_is_usage_error(self, capsys):
         code = main(["solve", "--model", "mv", "--random", "--n", "10", "--p", "30",
                      "--tol", "nan"])
@@ -177,7 +191,8 @@ class TestSweepCommand:
         assert csv_text.splitlines()[1].split(",")[5] == "nan"
 
     def test_generic_cost_has_no_replica_overlap(self):
-        assert math.isnan(_replica_overlap(generic_model(lambda u: u * u / 2), 2.0, 1.0))
+        model = generic_model(lambda u: u * u / 2)
+        assert math.isnan(_replica_overlap(model, 2.0, BpConfig()))
 
     def test_alpha_at_or_below_one_rejected(self, capsys):
         assert main(["sweep", "--model", "mv", "--alphas", "0.5,2"]) == 1

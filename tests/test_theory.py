@@ -9,7 +9,7 @@ import scipy.optimize
 import scipy.stats
 
 from bpfolio.cli import _replica_overlap
-from bpfolio.engine import AD_BETA_TOP
+from bpfolio.engine import AD_BETA_TOP, default_config
 from bpfolio.model import ABSOLUTE_DEVIATION, MEAN_VARIANCE, Portfolio
 from bpfolio.theory import (
     annealed_cost,
@@ -130,7 +130,7 @@ class TestZeroTemperatureAd:
 
     def test_sweep_reference_is_finite_near_alpha_one(self):
         # the fixed point at 2^20 does not converge here, and the column read nan
-        q = _replica_overlap(ABSOLUTE_DEVIATION, 1.01, AD_BETA_TOP)
+        q = _replica_overlap(ABSOLUTE_DEVIATION, 1.01, default_config(ABSOLUTE_DEVIATION))
         assert math.isfinite(q)
         assert q == rs_zero_temperature_ad(1.01)
 
