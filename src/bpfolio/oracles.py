@@ -3,7 +3,6 @@ from __future__ import annotations
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
-from scipy.optimize import linprog
 
 from .model import CostModel, Portfolio, ReturnSet
 
@@ -54,7 +53,10 @@ def convex_oracle(returns: ReturnSet, model: CostModel) -> Portfolio:
     s+, s- >= 0, the cost sum|u| becomes the LP: min sum(s+ + s-)
     subject to x^T w / sqrt(N) - s+ + s- = 0 and sum(w) = N, with w free.
     Only the ad cost is linear here; mv has the closed form exact_mean_variance.
+    scipy.optimize is imported here, so loading the package does not pay for it.
     """
+    from scipy.optimize import linprog
+
     if model.kind != "ad":
         raise ValueError(f"convex oracle solves the ad cost only, got {model.kind!r}; "
                          "use exact_mean_variance for mv")

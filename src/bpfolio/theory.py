@@ -6,7 +6,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.integrate import quad
 from scipy.special import ndtr, ndtri
 
 from .channels import channel_for
@@ -133,8 +132,11 @@ def mp_bulk_expectation(alpha: float, f: Callable[[float], float]) -> float:
     """integral of rho(lambda)*f(lambda) over the bulk support, absolute tolerance 1e-10.
 
     The substitution lambda = m + r*sin(theta) absorbs the square-root edges,
-    leaving a smooth integrand for the adaptive rule.
+    leaving a smooth integrand for the adaptive rule. scipy.integrate is
+    imported here, so loading the package does not pay for it.
     """
+    from scipy.integrate import quad
+
     if not 0 < alpha < math.inf:
         raise ValueError("alpha must be positive and finite")
     lo = (1.0 - math.sqrt(alpha)) ** 2

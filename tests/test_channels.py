@@ -235,6 +235,91 @@ class TestGenericChannel:
         assert chi.shape == h.shape
 
 
+EVEN_COSTS = {
+    "abs": np.abs,
+    "quartic": lambda u: 0.25 * u ** 4,
+    "huber": lambda u: np.where(np.abs(u) < 1.0, 0.5 * u * u, np.abs(u) - 0.5),
+}
+GENERIC_FIELDS = st.floats(-30.0, 30.0)
+GENERIC_VARIANCES = st.floats(1e-2, 1e2)
+GENERIC_BETAS = st.floats(1e-2, 1e3)
+
+
+class TestGenericChannelKinks:
+    """|u| against its closed form at 1e-8, off criterion 7's grid."""
+
+    @pytest.mark.parametrize("h, chi_tilde, beta", [
+        # the mode sits on the kink at z = sqrt(10), between two scan points
+        (-10.0, 10.0, 1.0),
+        # the mode is at z ~ -0.71, the kink at z ~ -2.83
+        (2.0, 0.5, 1.0),
+        # the kink at z ~ -6.72 falls between a panel end and its outermost
+        # node, where the Gauss and Kronrod sums agree without seeing it
+        (9.5, 2.0, 3.0),
+    ])
+    def test_matches_absolute_deviation_closed_form(self, h, chi_tilde, beta):
+        m_q, chi_q = channel_generic(h, chi_tilde, beta, np.abs)
+        m_c, chi_c = channel_absolute_deviation(h, chi_tilde, beta)
+        assert m_q == pytest.approx(m_c, rel=1e-8, abs=1e-8)
+        assert chi_q == pytest.approx(chi_c, rel=1e-8, abs=1e-8)
+
+
+class TestGenericChannelRounding:
+    @pytest.mark.parametrize("h, chi_tilde, beta, cost, closed", [
+        # psi rounds near 1e-12 relative here: beta*|u| with u = z*sqrt(chi) + h
+        # a difference of numbers near 29, and psi near -4200 for the quadratic
+        (-29.13, 0.2962, 508.3, np.abs, channel_absolute_deviation),
+        (20.35, 0.0393, 102.1, lambda u: 0.5 * u * u, channel_mean_variance),
+    ])
+    def test_panels_stop_at_the_rounding_of_psi(self, h, chi_tilde, beta, cost, closed):
+        # a 1e-14 floor alone splits such panels to the open-panel limit,
+        # about 14000 points; the rounding floor stops near 2000
+        points = []
+
+        def counted(u):
+            points.append(u.size)
+            return cost(u)
+
+        m_q, chi_q = channel_generic(h, chi_tilde, beta, counted)
+        m_c, chi_c = closed(h, chi_tilde, beta)
+        assert sum(points) < 4000
+        assert m_q == pytest.approx(m_c, rel=1e-11, abs=1e-11)
+        assert chi_q == pytest.approx(chi_c, rel=1e-11, abs=1e-11)
+
+
+class TestGenericChannelProperties:
+    @settings(derandomize=True, database=None, deadline=None, max_examples=40)
+    @given(h=GENERIC_FIELDS, chi_tilde=GENERIC_VARIANCES, beta=GENERIC_BETAS,
+           cost=st.sampled_from(sorted(EVEN_COSTS)))
+    def test_nonnegative_and_odd_for_even_costs(self, h, chi_tilde, beta, cost):
+        m, chi = channel_generic(h, chi_tilde, beta, EVEN_COSTS[cost])
+        m_flip, chi_flip = channel_generic(-h, chi_tilde, beta, EVEN_COSTS[cost])
+        assert chi >= 0.0
+        assert chi_flip >= 0.0
+        # the scan grids of h and -h mirror each other only up to roundoff
+        assert m_flip == pytest.approx(-m, rel=1e-10, abs=1e-10)
+        assert chi_flip == pytest.approx(chi, rel=1e-10, abs=1e-10)
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=25)
+    @given(points=st.lists(st.tuples(GENERIC_FIELDS, GENERIC_VARIANCES),
+                           min_size=2, max_size=6),
+           beta=GENERIC_BETAS, cost=st.sampled_from(sorted(EVEN_COSTS)))
+    def test_vector_call_matches_scalar_calls(self, points, beta, cost):
+        # an element's result must not depend on the elements beside it
+        h, chi_tilde = (np.array(column) for column in zip(*points))
+        m_vec, chi_vec = channel_generic(h, chi_tilde, beta, EVEN_COSTS[cost])
+        for i in range(h.size):
+            m, chi = channel_generic(h[i], chi_tilde[i], beta, EVEN_COSTS[cost])
+            assert m_vec[i] == pytest.approx(m, rel=1e-14, abs=1e-14)
+            assert chi_vec[i] == pytest.approx(chi, rel=1e-14, abs=1e-14)
+
+    def test_scalar_cost_is_broadcast(self):
+        # a constant cost such as the expression "1" returns a scalar
+        m, chi = channel_generic(np.array([0.5, -2.0]), 1.0, 3.0, lambda u: 1.0)
+        assert np.allclose(m, 0.0, atol=1e-10)
+        assert np.allclose(chi, 0.0, atol=1e-10)
+
+
 class TestChannelDispatch:
     def test_closed_forms_dispatch_directly(self):
         assert channel_for(MEAN_VARIANCE) is channel_mean_variance

@@ -305,6 +305,15 @@ class TestKyCommand:
         assert main(["ky", "--n", "5", "--p", "10", "--trials", "-3"]) == 1
 
 
+def test_import_leaves_integrate_and_optimize_unloaded():
+    # together about 0.2 s of start-up; only the theory and oracle calls need them
+    probe = ("import sys, bpfolio.cli; "
+             "print('scipy.integrate' in sys.modules, 'scipy.optimize' in sys.modules)")
+    done = subprocess.run([sys.executable, "-c", probe], capture_output=True,
+                          text=True, check=True)
+    assert done.stdout.strip() == "False False"
+
+
 class TestSeedEnvironment:
     def test_env_overrides_default_seed_only(self, capsys, monkeypatch):
         monkeypatch.setenv("BPFOLIO_SEED", "123")

@@ -10,7 +10,7 @@ import scipy.stats
 
 from bpfolio.cli import _replica_overlap
 from bpfolio.engine import AD_BETA_TOP, default_config
-from bpfolio.model import ABSOLUTE_DEVIATION, MEAN_VARIANCE, Portfolio
+from bpfolio.model import ABSOLUTE_DEVIATION, MEAN_VARIANCE, Portfolio, generic_model
 from bpfolio.theory import (
     annealed_cost,
     marchenko_pastur,
@@ -60,6 +60,13 @@ class TestFixedPoint:
                 closed = rs_closed_form_mv(alpha, beta)
                 assert abs(numeric.q - closed.q) <= 1e-6
                 assert abs(numeric.chi - closed.chi) <= 1e-6
+
+    def test_generic_absolute_cost_matches_closed_form_channel(self):
+        # the quadrature channel drives the same fixed point as the tail formula
+        generic = rs_fixed_point(2.0, 1.0, generic_model(np.abs))
+        closed = rs_fixed_point(2.0, 1.0, ABSOLUTE_DEVIATION)
+        assert generic.q == pytest.approx(closed.q, rel=1e-9, abs=1e-9)
+        assert generic.chi == pytest.approx(closed.chi, rel=1e-9, abs=1e-9)
 
     def test_solution_satisfies_both_equations(self):
         s = rs_fixed_point(2.0, 50.0, MEAN_VARIANCE)
