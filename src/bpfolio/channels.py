@@ -111,8 +111,6 @@ def channel_mean_variance(h, chi_tilde, beta):
     gain = beta / (1.0 + beta * chi_tilde)
     m_u = -gain * h
     chi_u = gain + np.zeros_like(h)
-    if m_u.ndim == 0:
-        return float(m_u), float(chi_u)
     return m_u, chi_u
 
 
@@ -153,8 +151,6 @@ def channel_absolute_deviation(h, chi_tilde, beta):
     # beta - (mills(u+)+mills(u-))/(2 root) with (u+ + u-)/(2 root) = beta removed in algebra
     slope = -(mills_excess(u_plus) + mills_excess(u_minus)) / (2.0 * root)
     chi_u = np.maximum(-beta * (1.0 - t * t) * slope, 0.0)
-    if m_u.ndim == 0:
-        return float(m_u), float(chi_u)
     return m_u, chi_u
 
 

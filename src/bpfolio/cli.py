@@ -44,8 +44,10 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
-def _default_seed() -> int:
-    """Seed used when --seed is absent; the environment variable overrides only this."""
+def _seed(args) -> int:
+    """--seed, else the default seed; the environment variable overrides only the default."""
+    if args.seed is not None:
+        return args.seed
     raw = os.environ.get(_SEED_ENV_VAR)
     if raw is None:
         return _DEFAULT_SEED
@@ -165,26 +167,21 @@ def _cost_from_expression(expression: str):
     return cost
 
 
+_MODELS = {"mv": MEAN_VARIANCE, "ad": ABSOLUTE_DEVIATION}
+
+
 def _model_from_args(args) -> CostModel:
-    if args.model == "mv":
-        return MEAN_VARIANCE
-    if args.model == "ad":
-        return ABSOLUTE_DEVIATION
+    if args.model in _MODELS:
+        return _MODELS[args.model]
     if args.cost_expr is None:
         raise ReturnsParseError("generic model requires --cost-expr")
     return generic_model(_cost_from_expression(args.cost_expr), order=args.order)
 
 
 def _config_from_args(args, model: CostModel):
-    config = engine.default_config(model, args.beta)
-    overrides = {}
-    if args.damping is not None:
-        overrides["damping"] = args.damping
-    if args.tol is not None:
-        overrides["tol"] = args.tol
-    if args.max_sweeps is not None:
-        overrides["max_sweeps"] = args.max_sweeps
-    return dataclasses.replace(config, **overrides) if overrides else config
+    overrides = {name: getattr(args, name) for name in ("damping", "tol", "max_sweeps")
+                 if getattr(args, name) is not None}
+    return dataclasses.replace(engine.default_config(model, args.beta), **overrides)
 
 
 def _load_instance(args) -> tuple[ReturnSet, int | None]:
@@ -196,7 +193,7 @@ def _load_instance(args) -> tuple[ReturnSet, int | None]:
         raise ReturnsParseError("choose an input: --input FILE or --random")
     if args.n is None or args.p is None:
         raise ReturnsParseError("--random requires --n and --p")
-    seed = args.seed if args.seed is not None else _default_seed()
+    seed = _seed(args)
     return generate_returns(args.n, args.p, seed), seed
 
 
@@ -238,7 +235,7 @@ def _replica_overlap(model: CostModel, alpha: float, config: BpConfig) -> float:
     zero-temperature solve, else the ad fixed point at config.beta (nan where
     it fails), and nan for a generic cost, which has no theory here."""
     if model.kind == "mv":
-        return alpha / (alpha - 1.0)
+        return theory.rs_closed_form_mv(alpha, config.beta).q
     if model.kind != "ad":
         return math.nan
     if engine.zero_temperature(model, config):
@@ -255,23 +252,29 @@ def run_sweep(model: CostModel, alphas, n_assets: int, trials: int, base_seed: i
               beta: float | None = None) -> str:
     """Monte-Carlo sweep over alpha; returns the CSV text (schema is fixed).
 
-    Per-trial seed is base_seed + trial index. Statistics cover non-diverged
-    trials (an annealed absolute-deviation solve averages over its hold phase
-    and reports converged=False while the portfolio is accurate to a few
-    1e-5). The mean-variance references are the closed forms
-    q = alpha/(alpha-1) and eps = (alpha-1)/2. The default absolute-deviation
-    sweep (no beta, or one of at least 2^20) is zero-temperature: its trials
-    run max-sum BP and its q reference is the closed form
-    theory.rs_zero_temperature_ad (2.485 at alpha=2). An explicit beta below
-    2^20 solves at finite temperature, and its q reference is the replica
-    fixed point at that beta, nan where that fixed point does not converge.
-    The absolute-deviation eps has no closed form and is reported nan. A
-    generic cost has neither reference, so both columns are nan.
+    Each alpha solves instances of round(alpha*n_assets) periods, and its row
+    reports the alpha of those instances, periods over assets, and the
+    references at that alpha. Per-trial seed is base_seed + trial index.
+    Statistics cover non-diverged trials (an annealed absolute-deviation solve
+    averages over its hold phase and reports converged=False while the
+    portfolio is accurate to a few 1e-5). The mean-variance references are the
+    closed forms q = alpha/(alpha-1) and eps = (alpha-1)/2. The default
+    absolute-deviation sweep (no beta, or one of at least 2^20) is
+    zero-temperature: its trials run max-sum BP and its q reference is the
+    closed form theory.rs_zero_temperature_ad (2.485 at alpha=2). An explicit
+    beta below 2^20 solves at finite temperature, and its q reference is the
+    replica fixed point at that beta, nan where that fixed point does not
+    converge. The absolute-deviation eps has no closed form and is reported
+    nan. A generic cost has neither reference, so both columns are nan.
     """
     config = engine.default_config(model, beta)
+    if trials == 1:
+        print("warning: trials=1 gives degenerate statistics; "
+              "standard errors reported as 0", file=sys.stderr)
     lines = [SWEEP_CSV_HEADER]
-    for alpha in alphas:
-        n_periods = int(round(alpha * n_assets))
+    for requested in alphas:
+        n_periods = int(round(requested * n_assets))
+        alpha = n_periods / n_assets
         q_values, eps_values = [], []
         n_diverged = 0
         for trial in range(trials):
@@ -282,9 +285,6 @@ def run_sweep(model: CostModel, alphas, n_assets: int, trials: int, base_seed: i
             else:
                 q_values.append(diagnostics.q_hat)
                 eps_values.append(diagnostics.eps_hat)
-        if trials == 1:
-            print("warning: trials=1 gives degenerate statistics; "
-                  "standard errors reported as 0", file=sys.stderr)
 
         q_mean, q_se = _mean_and_se(q_values)
         eps_mean, eps_se = _mean_and_se(eps_values)
@@ -298,16 +298,15 @@ def run_sweep(model: CostModel, alphas, n_assets: int, trials: int, base_seed: i
 
 
 def cmd_sweep(args) -> int:
-    if args.model == "generic":
-        raise ReturnsParseError("sweep supports the mv and ad models")
-    model = MEAN_VARIANCE if args.model == "mv" else ABSOLUTE_DEVIATION
     alphas = [float(chunk) for chunk in args.alphas.split(",") if chunk]
-    if not alphas or not all(1.0 < a < math.inf for a in alphas):
-        raise ReturnsParseError("sweep alphas must all be finite and exceed 1")
+    if not alphas or not all(math.isfinite(a * args.n) and round(a * args.n) > args.n
+                             for a in alphas):
+        raise ReturnsParseError("sweep alphas must all be finite and exceed 1 "
+                                f"as round(alpha*n)/n at n={args.n}")
     if args.trials < 1:
         raise ReturnsParseError("trials must be at least 1")
-    seed = args.seed if args.seed is not None else _default_seed()
-    csv_text = run_sweep(model, alphas, args.n, args.trials, seed, beta=args.beta)
+    csv_text = run_sweep(_MODELS[args.model], alphas, args.n, args.trials, _seed(args),
+                         beta=args.beta)
     _emit(csv_text, args.out)
     return EXIT_OK
 
@@ -318,7 +317,7 @@ def cmd_theory(args) -> int:
             raise ReturnsParseError(
                 "replica order parameters cover the mv and ad models; "
                 "expected shortfall has only the annealed formula")
-        model = MEAN_VARIANCE if args.model == "mv" else ABSOLUTE_DEVIATION
+        model = _MODELS[args.model]
         if model.kind == "mv":
             solution = theory.rs_closed_form_mv(args.alpha, args.beta)
         else:
@@ -363,7 +362,7 @@ def cmd_ky(args) -> int:
         raise ReturnsParseError("random mode requires --n and --p (or use --counterexample)")
     if args.trials < 1:
         raise ReturnsParseError("trials must be at least 1")
-    seed = args.seed if args.seed is not None else _default_seed()
+    seed = _seed(args)
     cosines, q_gaps = [], []
     n_diverged = 0
     for trial in range(args.trials):

@@ -212,7 +212,5 @@ def load_returns(path: str, n_assets: int, center: bool = False) -> ReturnSet:
 
 def save_returns(returns: ReturnSet, path: str) -> None:
     """Write CSV that round-trips bit-exactly through load_returns (17 significant digits)."""
-    with open(path, "w", encoding="utf-8") as fh:
-        for row in returns.entries:
-            fh.write(",".join(f"{value:.17g}" for value in row))
-            fh.write("\n")
+    with open(path, "w", encoding="utf-8") as fh:  # a path ending .gz stays plain text
+        np.savetxt(fh, returns.entries, fmt="%.17g", delimiter=",")

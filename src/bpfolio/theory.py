@@ -10,9 +10,10 @@ from scipy.special import ndtr, ndtri
 
 from .channels import channel_for
 from .model import CostModel, Portfolio, RsSolution
-from .special import gauss_hermite_dz, log_gaussian_tail
+from .special import gauss_hermite_dz
 
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
+_LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
 _FIXED_POINT_DAMPING = 0.5
 _FIXED_POINT_CAP = 10_000
 _FIXED_POINT_TOL = 1e-10
@@ -181,31 +182,13 @@ def marchenko_pastur(alpha: float) -> SpectralStats:
     )
 
 
-def _golden_section_min(f: Callable[[float], float], lo: float, hi: float,
-                        xatol: float) -> float:
-    """Deterministic golden-section minimizer for a unimodal function on [lo, hi]."""
-    ratio = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
-    c = b - ratio * (b - a)
-    d = a + ratio * (b - a)
-    fc, fd = f(c), f(d)
-    while b - a > xatol:
-        if fc <= fd:
-            b, d, fd = d, c, fc
-            c = b - ratio * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + ratio * (b - a)
-            fd = f(d)
-    return 0.5 * (a + b)
-
-
 def annealed_cost(model: str, alpha: float, s: float, gamma: float = None) -> float:
     """Expected per-asset cost of a fixed portfolio with spread s over random returns.
 
     mv: alpha*s^2/2; ad: 2*alpha*s/sqrt(2*pi); es: min over v >= 0 of
-    alpha*(v*gamma + H(v/s)) by golden-section search (tolerance 1e-12 in v).
+    alpha*(v*gamma + H(v/s)). Its slope alpha*(gamma - phi(v/s)/s) increases
+    on v >= 0, so the minimizer is where the density meets gamma, in closed
+    form v* = s*sqrt(max(-2*log(gamma*s*sqrt(2*pi)), 0)).
     """
     if not 0 < alpha < math.inf:
         raise ValueError("alpha must be positive and finite")
@@ -220,15 +203,9 @@ def annealed_cost(model: str, alpha: float, s: float, gamma: float = None) -> fl
             raise ValueError("expected-shortfall cost requires a finite gamma > 0")
         if s == 0.0:
             return 0.0  # limit: v -> 0 kills both terms
-        log_arg = gamma * _SQRT_2PI * s
-        inner = max(2.0 * math.log(1.0 / log_arg) + 1.0, 0.0)
-        hi = 20.0 * s * max(1.0, math.sqrt(inner))
-
-        def objective(v: float) -> float:
-            return alpha * (v * gamma + math.exp(log_gaussian_tail(v / s)))
-
-        v_star = _golden_section_min(objective, 0.0, hi, xatol=1e-12)
-        return min(objective(v_star), objective(0.0))
+        # a sum of logs, because the product gamma*s can under- or overflow
+        t_star = math.sqrt(max(-2.0 * (math.log(gamma) + math.log(s) + _LOG_SQRT_2PI), 0.0))
+        return alpha * (s * t_star * gamma + float(ndtr(-t_star)))
     raise ValueError(f"unknown annealed cost model {model!r}")
 
 

@@ -162,14 +162,16 @@ class TestSweepCommand:
         assert int(row["n_diverged"]) == 0
 
     def test_single_trial_degenerate_statistics(self, capsys):
-        code = main(["sweep", "--model", "mv", "--alphas", "2", "--n", "20",
+        code = main(["sweep", "--model", "mv", "--alphas", "2,3", "--n", "20",
                      "--trials", "1", "--seed", "0"])
         captured = capsys.readouterr()
         assert code == 0
+        assert len(captured.err.splitlines()) == 1  # one warning per sweep
         assert "trials=1" in captured.err
-        row = captured.out.strip().splitlines()[1].split(",")
-        assert float(row[2]) == 0.0  # q_se
-        assert float(row[4]) == 0.0  # eps_se
+        for line in captured.out.strip().splitlines()[1:]:
+            row = line.split(",")
+            assert float(row[2]) == 0.0  # q_se
+            assert float(row[4]) == 0.0  # eps_se
 
     def test_absolute_deviation_replica_eps_is_nan(self):
         csv_text = run_sweep(ABSOLUTE_DEVIATION, [2.0], 10, 1, 0, beta=4.0)
@@ -197,6 +199,22 @@ class TestSweepCommand:
     def test_alpha_at_or_below_one_rejected(self, capsys):
         assert main(["sweep", "--model", "mv", "--alphas", "0.5,2"]) == 1
         assert main(["sweep", "--model", "mv", "--alphas", "1.0"]) == 1
+        # 1.004 * 100 assets rounds to 100 periods: square instances, alpha = 1
+        assert main(["sweep", "--model", "mv", "--alphas", "1.004", "--n", "100"]) == 1
+        assert capsys.readouterr().err.count("exceed 1") == 3
+        assert main(["sweep", "--model", "mv", "--alphas", "2", "--trials", "0"]) == 1
+        assert "trials must be at least 1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("model, q_replica, eps_replica", [
+        (MEAN_VARIANCE, 10.0 / 3.0, 1.5 / 7.0),
+        (ABSOLUTE_DEVIATION, theory.rs_zero_temperature_ad(10.0 / 7.0), math.nan),
+    ], ids=["mv", "ad"])
+    def test_row_describes_the_solved_instances(self, model, q_replica, eps_replica):
+        # 1.5 * 7 assets rounds to 10 periods, so the instances have alpha = 10/7
+        row = run_sweep(model, [1.5], 7, 2, 0).splitlines()[1].split(",")
+        assert row[0] == f"{10.0 / 7.0:.10g}"
+        assert row[5] == f"{q_replica:.10g}"
+        assert row[6] == f"{eps_replica:.10g}"
 
     def test_non_finite_alphas_rejected(self, capsys):
         assert main(["sweep", "--model", "mv", "--alphas", "inf"]) == 1
@@ -306,12 +324,13 @@ class TestKyCommand:
 
 
 def test_import_leaves_integrate_and_optimize_unloaded():
-    # together about 0.2 s of start-up; only the theory and oracle calls need them
-    probe = ("import sys, bpfolio.cli; "
-             "print('scipy.integrate' in sys.modules, 'scipy.optimize' in sys.modules)")
+    # together about 0.25 s of start-up; only the theory and oracle calls need
+    # integrate and optimize, and nothing in the package needs scipy.linalg
+    probe = ("import sys, bpfolio.cli; print(*(name in sys.modules for name in "
+             "('scipy.integrate', 'scipy.optimize', 'scipy.linalg')))")
     done = subprocess.run([sys.executable, "-c", probe], capture_output=True,
                           text=True, check=True)
-    assert done.stdout.strip() == "False False"
+    assert done.stdout.strip() == "False False False"
 
 
 class TestSeedEnvironment:

@@ -182,11 +182,15 @@ class TestBpConfig:
 
 class TestReturnsCsv:
     def test_round_trip_bit_exact(self, tmp_path):
-        rs = generate_returns(8, 17, 3)
+        extremes = ReturnSet(np.array([[1e300, -0.0, 5e-324], [0.1, 1.0 / 3.0, -2.5]]))
         path = tmp_path / "returns.csv"
-        save_returns(rs, str(path))
-        loaded = load_returns(str(path), 8)
-        assert np.array_equal(loaded.entries, rs.entries)
+        for rs in (generate_returns(8, 17, 3), extremes):
+            save_returns(rs, str(path))
+            loaded = load_returns(str(path), rs.n_assets)
+            assert np.array_equal(loaded.entries, rs.entries)
+            # one row per line, each value at 17 significant digits
+            assert path.read_text() == "".join(
+                ",".join(f"{value:.17g}" for value in row) + "\n" for row in rs.entries)
 
     def test_blank_lines_skipped(self, tmp_path):
         path = tmp_path / "returns.csv"

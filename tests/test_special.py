@@ -1,6 +1,9 @@
 """Tests for the Gaussian-tail kernels and the normal-measure quadrature rule."""
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.special import erfc
 
 from bpfolio.special import (
     gauss_hermite_dz,
@@ -58,6 +61,18 @@ class TestLogGaussianTail:
 
     def test_scalar_type(self):
         assert isinstance(log_gaussian_tail(1.0), float)
+
+
+@settings(derandomize=True, database=None, deadline=None)
+@given(u=st.floats(-8.0, 25.0), v=st.floats(-20.0, 20.0))
+def test_kernels_match_their_erfc_definitions(u, v):
+    # log H(u) = log(erfc(u/sqrt(2))/2) holds to the absolute term on [-8, 25],
+    # where erfc neither underflows nor rounds to 2; mills(v) = phi(v)/H(v)
+    reference = np.log(erfc(u / np.sqrt(2.0)) / 2.0)
+    assert log_gaussian_tail(u) == pytest.approx(reference, rel=1e-13, abs=1e-15)
+    log_density = -0.5 * v * v - 0.5 * np.log(2.0 * np.pi)
+    assert mills_ratio(v) == pytest.approx(np.exp(log_density - log_gaussian_tail(v)),
+                                           rel=1e-12)
 
 
 class TestMillsRatio:

@@ -6,6 +6,7 @@ import sys
 import numpy as np
 import pytest
 import scipy.optimize
+import scipy.special
 import scipy.stats
 
 from bpfolio.cli import _replica_overlap
@@ -222,6 +223,8 @@ class TestAnnealedCost:
         assert annealed_cost("mv", 2.0, 0.0) == 0.0
         assert annealed_cost("ad", 2.0, 0.0) == 0.0
         assert annealed_cost("es", 2.0, 0.0, gamma=0.1) == 0.0
+        # gamma*s underflows to 0 here; the cost underflows with it, no division by 0
+        assert annealed_cost("es", 2.0, 1e-200, gamma=1e-200) == 0.0
 
     def test_expected_shortfall_large_gamma_caps_at_tail_half(self):
         # when the per-unit charge exceeds the density peak the threshold stays
@@ -238,6 +241,17 @@ class TestAnnealedCost:
                 options={"xatol": 1e-12}).fun
             value = annealed_cost("es", alpha, s, gamma=gamma)
             assert value == pytest.approx(min(reference, objective(0.0)), rel=1e-9)
+
+    @pytest.mark.parametrize("alpha, s, gamma", [
+        (2.0, 1.0, 0.05), (0.5, 1.3, 0.01), (5.0, 0.2, 0.1), (2.0, 1.0, 1e-4),
+        (3.0, 2.0, 0.3),  # gamma*s*sqrt(2*pi) >= 1: the minimizer is v = 0
+    ])
+    def test_expected_shortfall_is_the_grid_minimum(self, alpha, s, gamma):
+        v = np.linspace(0.0, 8.0 * s, 800_001)
+        grid_min = np.min(alpha * (v * gamma + scipy.special.ndtr(-v / s)))
+        value = annealed_cost("es", alpha, s, gamma=gamma)
+        assert value <= grid_min * (1.0 + 1e-15)
+        assert grid_min - value <= 1e-9
 
     def test_expected_shortfall_monotone_in_gamma(self):
         costs = [annealed_cost("es", 2.0, 1.0, gamma=g) for g in (0.02, 0.1, 0.5)]
