@@ -98,18 +98,38 @@ def init_state(returns: ReturnSet) -> BpState:
     )
 
 
-def period_sweep(state: BpState, returns: ReturnSet, squares: np.ndarray, channel,
-                 beta: float, damping: float) -> BpState:
-    """Update the period means and variances in place.
+def variance_scales(returns: ReturnSet) -> tuple[np.ndarray, np.ndarray]:
+    """Row and column factors of the rank-one variance closure x_kmu^2 ~ r_k c_mu / s.
 
-    chi_tilde_u = (1/N) sum_k x_k^2 chi_wk and h_u = (1/sqrt N) sum_k x_k m_wk
-    minus the self-response term chi_tilde_u * m_u built from the previous
-    period means; squares is x*x. channel maps (h, chi_tilde, beta) -> (m, chi).
+    r holds the row means of x*x, c the column means and s the grand mean, so
+    the closure keeps every row sum and column sum of x*x. Returns
+    (r / (s*N), c), whose outer product stands in for the per-edge weights
+    x*x / N of the cavity variances; x*x itself is never formed.
     """
     x = returns.entries
-    n = returns.n_assets
-    chi_tilde_u = squares.T @ state.chi_w / n
-    h_u = x.T @ state.m_w / np.sqrt(n) - chi_tilde_u * state.m_u
+    n, p = x.shape
+    r = np.einsum("kt,kt->k", x, x) / p
+    c = np.einsum("kt,kt->t", x, x) / n
+    s = r.mean()
+    if s == 0.0:  # x = 0: every cavity variance is 0, as with per-edge x*x
+        return r, c
+    return r / (s * n), c
+
+
+def period_sweep(state: BpState, returns: ReturnSet, scales: tuple[np.ndarray, np.ndarray],
+                 channel, beta: float, damping: float) -> BpState:
+    """Update the period means and variances in place.
+
+    chi_tilde_u = c * (r @ chi_w) / (s*N) is the cavity variance under the
+    closure x_kmu^2 ~ r_k c_mu / s (scales is variance_scales(returns)), so
+    it costs O(N + p), and h_u = (1/sqrt N) sum_k x_k m_wk, one dense pass,
+    minus the self-response term chi_tilde_u * m_u built from the previous
+    period means. channel maps (h, chi_tilde, beta) -> (m, chi).
+    """
+    x = returns.entries
+    row, col = scales
+    chi_tilde_u = col * (row @ state.chi_w)
+    h_u = x.T @ state.m_w / np.sqrt(returns.n_assets) - chi_tilde_u * state.m_u
     m_channel, chi_channel = channel(h_u, chi_tilde_u, beta)
     m_u = (1.0 - damping) * m_channel + damping * state.m_u
     if not np.all(np.isfinite(m_u)):
@@ -119,19 +139,22 @@ def period_sweep(state: BpState, returns: ReturnSet, squares: np.ndarray, channe
     return state
 
 
-def asset_sweep(state: BpState, returns: ReturnSet, squares: np.ndarray,
+def asset_sweep(state: BpState, returns: ReturnSet, scales: tuple[np.ndarray, np.ndarray],
                 damping: float) -> BpState:
     """Update the asset means and variances in place, enforcing the budget through m_tilde.
 
-    h_w adds (not subtracts) its self-response term chi_tilde_w * m_wk from the
-    previous asset means, and chi_w = 1/chi_tilde_w; squares is x*x. The budget
-    multiplier has the closed form m_tilde = (N - sum chi_w h_w)/sum chi_w
+    chi_tilde_w = r * (c @ chi_u) / (s*N) is the cavity variance under the
+    same closure as period_sweep's, and h_w = (1/sqrt N) sum_mu x_mu m_umu,
+    the one dense pass, adds (not subtracts) its self-response term
+    chi_tilde_w * m_wk from the previous asset means; chi_w = 1/chi_tilde_w.
+    The budget multiplier has the closed form m_tilde = (N - sum chi_w h_w)/sum chi_w
     because the mean update is linear in it, and the undamped means
     chi_w * (h_w + m_tilde) then satisfy sum m_w = N exactly.
     """
     x = returns.entries
     n = returns.n_assets
-    chi_tilde_w = squares @ state.chi_u / n
+    row, col = scales
+    chi_tilde_w = row * (col @ state.chi_u)
     if not np.all(np.isfinite(chi_tilde_w)) or np.any(chi_tilde_w <= 0.0):
         raise DivergenceDetected(
             "nonpositive asset-side cavity variance (alpha <= 1 regime or blow-up)"
@@ -198,8 +221,7 @@ def solve(returns: ReturnSet, model: CostModel, config: BpConfig = None):
 def _iterate(returns: ReturnSet, model: CostModel, config: BpConfig, max_sum: bool):
     """One run of solve: with max_sum, the max-sum `ad` channel and a
     projection onto the budget after every sweep, else channel_for(model)."""
-    x = returns.entries
-    squares = x * x
+    scales = variance_scales(returns)
     n = returns.n_assets
     state = init_state(returns)
     channel = channel_absolute_deviation_max_sum if max_sum else channel_for(model)
@@ -216,8 +238,8 @@ def _iterate(returns: ReturnSet, model: CostModel, config: BpConfig, max_sum: bo
         while total < config.max_sweeps:
             beta = ladder[min(total, ramp_sweeps)]
             previous = state.m_w
-            period_sweep(state, returns, squares, channel, beta, config.damping)
-            asset_sweep(state, returns, squares, config.damping)
+            period_sweep(state, returns, scales, channel, beta, config.damping)
+            asset_sweep(state, returns, scales, config.damping)
             if max_sum:
                 # the max-sum variances have no scale of their own: on small
                 # instances chi_w drifts to 1e9 and beyond, where the budget

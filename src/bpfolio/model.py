@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -176,9 +177,29 @@ class ReturnsParseError(ValueError):
 def load_returns(path: str, n_assets: int, center: bool = False) -> ReturnSet:
     """Read one asset per CSV row; p is inferred from the column count.
 
+    np.loadtxt parses the file; when it fails (or warns on an empty file) the
+    file is scanned cell by cell instead, which reads whatever float() reads
+    and locates a malformed cell or row by its physical line number.
     center=True subtracts per-asset sample means; off by default so file and
     synthetic inputs go through identical arithmetic.
     """
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", UserWarning)
+            entries = np.loadtxt(path, delimiter=",", comments=None, ndmin=2,
+                                 encoding="utf-8")
+    except (ValueError, UserWarning):
+        entries = _scan_returns(path)
+    if len(entries) != n_assets:
+        raise ReturnsParseError(f"expected {n_assets} asset rows, found {len(entries)}")
+    if center:
+        entries = entries - entries.mean(axis=1, keepdims=True)
+    return ReturnSet(entries)
+
+
+def _scan_returns(path: str) -> np.ndarray:
+    """load_returns' cell-by-cell parse: blank lines are skipped, and a
+    non-numeric cell, a ragged row or an empty file raises ReturnsParseError."""
     rows: list[list[float]] = []
     with open(path, "r", encoding="utf-8") as fh:
         for row_index, line in enumerate(fh, start=1):
@@ -202,12 +223,7 @@ def load_returns(path: str, n_assets: int, center: bool = False) -> ReturnSet:
             rows.append(values)
     if not rows:
         raise ReturnsParseError(f"no rows in {path}")
-    if len(rows) != n_assets:
-        raise ReturnsParseError(f"expected {n_assets} asset rows, found {len(rows)}")
-    entries = np.array(rows, dtype=float)
-    if center:
-        entries = entries - entries.mean(axis=1, keepdims=True)
-    return ReturnSet(entries)
+    return np.array(rows, dtype=float)
 
 
 def save_returns(returns: ReturnSet, path: str) -> None:

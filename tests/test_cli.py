@@ -48,6 +48,13 @@ class TestSolveCommand:
         assert code == 1
         assert "requires --n" in capsys.readouterr().err
 
+    def test_one_row_file_against_one_asset_is_usage_error(self, capsys, tmp_path):
+        path = tmp_path / "returns.csv"
+        path.write_text("1,2,3\n")
+        code = main(["solve", "--model", "mv", "--input", str(path), "--n", "1"])
+        assert code == 1
+        assert capsys.readouterr().err == "bpfolio: error: need at least 2 assets, got 1\n"
+
     def test_no_input_source_is_usage_error(self, capsys):
         assert main(["solve", "--model", "mv"]) == 1
 

@@ -15,6 +15,7 @@ from bpfolio.engine import (
     observables,
     period_sweep,
     solve,
+    variance_scales,
     zero_temperature,
 )
 from bpfolio.model import (
@@ -31,7 +32,7 @@ from bpfolio.oracles import convex_oracle, exact_mean_variance
 from bpfolio.theory import portfolio_similarity
 
 DIAGONAL_2X2 = ReturnSet(np.array([[1.0, 0.0], [0.0, 2.0]]))
-SQUARES_2X2 = DIAGONAL_2X2.entries * DIAGONAL_2X2.entries
+SCALES_2X2 = variance_scales(DIAGONAL_2X2)
 
 
 def make_state(n, p, **overrides):
@@ -115,7 +116,7 @@ class TestPeriodSweep:
         # leaving h_u as the scaled per-period portfolio returns
         state = make_state(2, 2, m_w=[1.6, 0.4], chi_w=[1e-12, 1e-12])
         channel = RecordingChannel()
-        period_sweep(state, DIAGONAL_2X2, SQUARES_2X2, channel, 1.0, 0.0)
+        period_sweep(state, DIAGONAL_2X2, SCALES_2X2, channel, 1.0, 0.0)
         root2 = np.sqrt(2.0)
         (h_u, _, beta), = channel.calls
         assert beta == 1.0
@@ -126,7 +127,7 @@ class TestPeriodSweep:
     def test_onsager_term_uses_previous_period_means(self):
         state = make_state(2, 2, m_w=[1.6, 0.4], chi_w=[1.0, 1.0], m_u=[1.0, -1.0])
         channel = RecordingChannel()
-        period_sweep(state, DIAGONAL_2X2, SQUARES_2X2, channel, 1.0, 0.0)
+        period_sweep(state, DIAGONAL_2X2, SCALES_2X2, channel, 1.0, 0.0)
         root2 = np.sqrt(2.0)
         (h_u, chi_tilde_u, _), = channel.calls
         # chi_tilde_u = (0.5, 2.0); the correction subtracts chi_tilde * old m_u
@@ -139,7 +140,7 @@ class TestPeriodSweep:
         def channel(h, chi_tilde, beta):
             return np.array([-1.0, -3.0]), np.zeros(2)
 
-        period_sweep(state, DIAGONAL_2X2, SQUARES_2X2, channel, 1.0, 0.25)
+        period_sweep(state, DIAGONAL_2X2, SCALES_2X2, channel, 1.0, 0.25)
         assert state.m_u == pytest.approx([0.75 * -1.0 + 0.25 * 1.0,
                                            0.75 * -3.0 + 0.25 * 1.0])
 
@@ -148,26 +149,58 @@ class TestAssetSweep:
     def test_budget_multiplier_closed_form(self):
         root2 = np.sqrt(2.0)
         state = make_state(2, 2, chi_u=[2.0, 0.5], m_u=[root2, -root2 / 2.0])
-        asset_sweep(state, DIAGONAL_2X2, SQUARES_2X2, 0.0)
-        # chi_tilde_w = (1, 1), so chi_w = 1/chi_tilde_w = (1, 1); h_w = (2, 0)
-        # and m_tilde = 0 make the undamped m_w = chi_w * (h_w + m_tilde) = (2, 0)
-        assert state.chi_w == pytest.approx([1.0, 1.0])
-        assert state.m_tilde == pytest.approx(0.0, abs=1e-15)
+        asset_sweep(state, DIAGONAL_2X2, SCALES_2X2, 0.0)
+        # the closure's row scales r/(s*N) = (0.2, 0.8) and column means
+        # c = (0.5, 2) give chi_tilde_w = r * (c @ chi_u) / (s*N) = (0.4, 1.6),
+        # so chi_w = 1/chi_tilde_w = (2.5, 0.625); h_w = (1, -1) + chi_tilde_w
+        # = (1.4, 0.6) and m_tilde = (2 - 3.875) / 3.125 = -0.6 make the
+        # undamped m_w = chi_w * (h_w + m_tilde) = (2, 0)
+        assert state.chi_w == pytest.approx([2.5, 0.625])
+        assert state.m_tilde == pytest.approx(-0.6, abs=1e-15)
         assert state.m_w == pytest.approx([2.0, 0.0])
 
     def test_budget_held_with_damping(self):
         rs = generate_returns(20, 60, 8)
-        squares = rs.entries * rs.entries
+        scales = variance_scales(rs)
         state = init_state(rs)
         for _ in range(50):
-            period_sweep(state, rs, squares, channel_mean_variance, 1.0, 0.5)
-            asset_sweep(state, rs, squares, 0.5)
+            period_sweep(state, rs, scales, channel_mean_variance, 1.0, 0.5)
+            asset_sweep(state, rs, scales, 0.5)
             assert abs(state.m_w.sum() - 20.0) <= 1e-9 * 20.0
 
     def test_vanishing_cavity_variance_raises(self):
         state = make_state(2, 2, chi_u=[0.0, 0.0])
         with pytest.raises(DivergenceDetected, match="cavity variance"):
-            asset_sweep(state, DIAGONAL_2X2, SQUARES_2X2, 0.5)
+            asset_sweep(state, DIAGONAL_2X2, SCALES_2X2, 0.5)
+
+
+class TestVarianceClosure:
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(
+        n=st.integers(2, 7), p=st.integers(1, 9),
+        seed=st.integers(0, 2 ** 32 - 1),
+    )
+    def test_exact_for_rank_one_squares(self, n, p, seed):
+        # x = diag(a) S diag(b) with S a +-1 matrix makes x*x = a^2 b^2^T
+        # exactly rank one, where the closure must give the per-edge products
+        rng = np.random.default_rng(seed)
+        a = rng.uniform(0.1, 3.0, n)
+        b = rng.uniform(0.1, 3.0, p)
+        signs = rng.choice([-1.0, 1.0], size=(n, p))
+        returns = ReturnSet(a[:, None] * signs * b[None, :])
+        squares = returns.entries * returns.entries
+        scales = variance_scales(returns)
+        state = make_state(n, p, chi_w=rng.uniform(0.1, 2.0, n),
+                           m_w=rng.standard_normal(n))
+        channel = RecordingChannel()
+        period_sweep(state, returns, scales, channel, 1.0, 0.5)
+        (_, chi_tilde_u, _), = channel.calls
+        np.testing.assert_allclose(chi_tilde_u, squares.T @ state.chi_w / n,
+                                   rtol=1e-12, atol=0)
+        state.chi_u = rng.uniform(0.1, 2.0, p)
+        asset_sweep(state, returns, scales, 0.5)
+        np.testing.assert_allclose(1.0 / state.chi_w, squares @ state.chi_u / n,
+                                   rtol=1e-12, atol=0)
 
 
 class TestObservables:

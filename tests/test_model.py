@@ -1,8 +1,13 @@
 """Tests for the shared domain types, returns generation, and CSV persistence."""
 import math
+import os
+import tempfile
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bpfolio.engine import BETA_RAMP_FACTOR, beta_ladder
 from bpfolio.model import (
@@ -18,6 +23,7 @@ from bpfolio.model import (
     load_returns,
     save_returns,
 )
+from bpfolio.model import _scan_returns
 
 
 class TestReturnSet:
@@ -198,6 +204,81 @@ class TestReturnsCsv:
         loaded = load_returns(str(path), 2)
         assert np.array_equal(loaded.entries, [[1.0, 2.0], [3.0, 4.0]])
 
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(
+        values=st.lists(
+            st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=3, max_size=3),
+            min_size=2, max_size=6),
+        fmt=st.sampled_from(["{!r}", "{:.17g}", "{:.6e}", "{:.3f}", " {!r} "]),
+        blank_after=st.integers(0, 6),
+        newline=st.sampled_from(["\n", "\r\n"]),
+    )
+    def test_fast_path_matches_scan(self, values, fmt, blank_after, newline):
+        lines = [",".join(fmt.format(v) for v in row) for row in values]
+        lines.insert(blank_after, "")
+        with tempfile.TemporaryDirectory() as folder:
+            path = os.path.join(folder, "returns.csv")
+            with open(path, "w", encoding="utf-8", newline="") as fh:
+                fh.write(newline.join(lines) + newline)
+            scanned = _scan_returns(path)
+            # with the scan disabled, the file has to load through np.loadtxt
+            with mock.patch("bpfolio.model._scan_returns", side_effect=AssertionError):
+                loaded = load_returns(path, len(values)).entries
+        assert loaded.shape == scanned.shape == (len(values), 3)
+        assert np.array_equal(loaded.view(np.int64), scanned.view(np.int64))
+
+    def test_scan_reads_what_float_reads(self, tmp_path):
+        # np.loadtxt rejects the digit separator and the whitespace-only line
+        path = tmp_path / "returns.csv"
+        path.write_text("1_0,2\n   \n3,4.5\n")
+        loaded = load_returns(str(path), 2)
+        assert np.array_equal(loaded.entries, [[10.0, 2.0], [3.0, 4.5]])
+
+    def test_bad_cell_after_blank_line_keeps_physical_row(self, tmp_path):
+        path = tmp_path / "returns.csv"
+        path.write_text("1,2\n\n3,x\n")
+        with pytest.raises(ReturnsParseError) as caught:
+            load_returns(str(path), 2)
+        assert str(caught.value) == "non-numeric cell at row 3, column 2: 'x'"
+
+    def test_ragged_row_after_blank_line_keeps_physical_row(self, tmp_path):
+        path = tmp_path / "returns.csv"
+        path.write_text("1,2,3\n\n4,5,6\n7,8\n")
+        with pytest.raises(ReturnsParseError) as caught:
+            load_returns(str(path), 3)
+        assert str(caught.value) == "ragged row at row 4: got 2 columns, expected 3"
+
+    @pytest.mark.parametrize("text, message", [
+        ("1,2\n#3,4\n", "non-numeric cell at row 2, column 1: '#3'"),
+        ("# header\n1,2\n3,4\n", "non-numeric cell at row 1, column 1: '# header'"),
+    ])
+    def test_hash_cell_is_rejected_not_a_comment(self, tmp_path, text, message):
+        path = tmp_path / "returns.csv"
+        path.write_text(text)
+        with pytest.raises(ReturnsParseError) as caught:
+            load_returns(str(path), 2)
+        assert str(caught.value) == message
+
+    def test_blank_only_file_rejected(self, tmp_path):
+        path = tmp_path / "returns.csv"
+        path.write_text("\n  \n")
+        with pytest.raises(ReturnsParseError) as caught:
+            load_returns(str(path), 2)
+        assert str(caught.value) == f"no rows in {path}"
+
+    def test_one_row_file_is_one_asset(self, tmp_path):
+        path = tmp_path / "returns.csv"
+        path.write_text("1,2,3\n")
+        with pytest.raises(ReturnsParseError, match="expected 2 asset rows, found 1"):
+            load_returns(str(path), 2)
+        with pytest.raises(ValueError, match="need at least 2 assets, got 1"):
+            load_returns(str(path), 1)
+
+    def test_one_column_file_is_one_period(self, tmp_path):
+        path = tmp_path / "returns.csv"
+        path.write_text("1\n2\n3\n")
+        assert load_returns(str(path), 3).entries.shape == (3, 1)
+
     def test_ragged_row_reported_with_location(self, tmp_path):
         path = tmp_path / "returns.csv"
         path.write_text("1,2,3\n4,5,6\n7,8\n")
@@ -213,8 +294,9 @@ class TestReturnsCsv:
     def test_empty_file_rejected(self, tmp_path):
         path = tmp_path / "returns.csv"
         path.write_text("")
-        with pytest.raises(ReturnsParseError, match="no rows"):
+        with pytest.raises(ReturnsParseError) as caught:
             load_returns(str(path), 2)
+        assert str(caught.value) == f"no rows in {path}"
 
     def test_row_count_must_match(self, tmp_path):
         path = tmp_path / "returns.csv"
