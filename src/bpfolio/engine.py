@@ -120,11 +120,11 @@ def period_sweep(state: BpState, returns: ReturnSet, scales: tuple[np.ndarray, n
                  channel, beta: float, damping: float) -> BpState:
     """Update the period means and variances in place.
 
-    chi_tilde_u = c * (r @ chi_w) / (s*N) is the cavity variance under the
-    closure x_kmu^2 ~ r_k c_mu / s (scales is variance_scales(returns)), so
-    it costs O(N + p), and h_u = (1/sqrt N) sum_k x_k m_wk, one dense pass,
-    minus the self-response term chi_tilde_u * m_u built from the previous
-    period means. channel maps (h, chi_tilde, beta) -> (m, chi).
+    The cavity variance chi_tilde_u = c * (r @ chi_w) / (s*N) takes the
+    closure x_kmu^2 ~ r_k c_mu / s of variance_scales, passed as scales, so
+    it costs O(N + p). The field h_u is (1/sqrt N) sum_k x_k m_wk, the one
+    dense pass, minus the self-response term chi_tilde_u * m_u built from the
+    previous period means. channel maps (h, chi_tilde, beta) -> (m, chi).
     """
     x = returns.entries
     row, col = scales
@@ -143,10 +143,10 @@ def asset_sweep(state: BpState, returns: ReturnSet, scales: tuple[np.ndarray, np
                 damping: float) -> BpState:
     """Update the asset means and variances in place, enforcing the budget through m_tilde.
 
-    chi_tilde_w = r * (c @ chi_u) / (s*N) is the cavity variance under the
-    same closure as period_sweep's, and h_w = (1/sqrt N) sum_mu x_mu m_umu,
-    the one dense pass, adds (not subtracts) its self-response term
-    chi_tilde_w * m_wk from the previous asset means; chi_w = 1/chi_tilde_w.
+    The cavity variance chi_tilde_w = r * (c @ chi_u) / (s*N) takes the same
+    closure as period_sweep, and chi_w = 1/chi_tilde_w. The field h_w is
+    (1/sqrt N) sum_mu x_mu m_umu, the one dense pass, plus (not minus) its
+    self-response term chi_tilde_w * m_wk from the previous asset means.
     The budget multiplier has the closed form m_tilde = (N - sum chi_w h_w)/sum chi_w
     because the mean update is linear in it, and the undamped means
     chi_w * (h_w + m_tilde) then satisfy sum m_w = N exactly.

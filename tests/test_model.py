@@ -234,48 +234,28 @@ class TestReturnsCsv:
         loaded = load_returns(str(path), 2)
         assert np.array_equal(loaded.entries, [[10.0, 2.0], [3.0, 4.5]])
 
-    def test_bad_cell_after_blank_line_keeps_physical_row(self, tmp_path):
-        path = tmp_path / "returns.csv"
-        path.write_text("1,2\n\n3,x\n")
-        with pytest.raises(ReturnsParseError) as caught:
-            load_returns(str(path), 2)
-        assert str(caught.value) == "non-numeric cell at row 3, column 2: 'x'"
-
-    def test_ragged_row_after_blank_line_keeps_physical_row(self, tmp_path):
-        path = tmp_path / "returns.csv"
-        path.write_text("1,2,3\n\n4,5,6\n7,8\n")
-        with pytest.raises(ReturnsParseError) as caught:
-            load_returns(str(path), 3)
-        assert str(caught.value) == "ragged row at row 4: got 2 columns, expected 3"
-
-    @pytest.mark.parametrize("text, message", [
-        ("1,2\n#3,4\n", "non-numeric cell at row 2, column 1: '#3'"),
-        ("# header\n1,2\n3,4\n", "non-numeric cell at row 1, column 1: '# header'"),
+    @pytest.mark.parametrize("text, n_assets, message", [
+        ("1,2\n\n3,x\n", 2, "non-numeric cell at row 3, column 2: 'x'"),
+        ("1,2,3\n\n4,5,6\n7,8\n", 3, "ragged row at row 4: got 2 columns, expected 3"),
+        # '#' is a malformed cell, never a comment
+        ("1,2\n#3,4\n", 2, "non-numeric cell at row 2, column 1: '#3'"),
+        ("# header\n1,2\n3,4\n", 2, "non-numeric cell at row 1, column 1: '# header'"),
+        ("\n  \n", 2, "no rows in {path}"),
     ])
-    def test_hash_cell_is_rejected_not_a_comment(self, tmp_path, text, message):
+    def test_scan_reports_physical_location(self, tmp_path, text, n_assets, message):
         path = tmp_path / "returns.csv"
         path.write_text(text)
         with pytest.raises(ReturnsParseError) as caught:
-            load_returns(str(path), 2)
-        assert str(caught.value) == message
+            load_returns(str(path), n_assets)
+        assert str(caught.value) == message.format(path=path)
 
-    def test_blank_only_file_rejected(self, tmp_path):
-        path = tmp_path / "returns.csv"
-        path.write_text("\n  \n")
-        with pytest.raises(ReturnsParseError) as caught:
-            load_returns(str(path), 2)
-        assert str(caught.value) == f"no rows in {path}"
-
-    def test_one_row_file_is_one_asset(self, tmp_path):
+    def test_single_row_and_single_column_stay_two_dimensional(self, tmp_path):
         path = tmp_path / "returns.csv"
         path.write_text("1,2,3\n")
         with pytest.raises(ReturnsParseError, match="expected 2 asset rows, found 1"):
             load_returns(str(path), 2)
         with pytest.raises(ValueError, match="need at least 2 assets, got 1"):
             load_returns(str(path), 1)
-
-    def test_one_column_file_is_one_period(self, tmp_path):
-        path = tmp_path / "returns.csv"
         path.write_text("1\n2\n3\n")
         assert load_returns(str(path), 3).entries.shape == (3, 1)
 
