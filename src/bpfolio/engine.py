@@ -98,37 +98,74 @@ def init_state(returns: ReturnSet) -> BpState:
     )
 
 
-def variance_scales(returns: ReturnSet) -> tuple[np.ndarray, np.ndarray]:
-    """Row and column factors of the rank-one variance closure x_kmu^2 ~ r_k c_mu / s.
+# up to this many assets the sweeps weight each edge by its own x_kmu^2; above
+# it they take the rank-one closure of RankOneVariances. The closure stands in
+# a mean for each sum of N per-edge terms, which few assets cannot supply: over
+# 30 draws each at p = 2N and p = 4N, it raised the default `ad` solve's mean
+# and worst cost gap to the LP optimum at N <= 16 (the worst fourfold at N = 8,
+# p = 2N), was mixed at N = 20 and no worse from N = 24 up.
+EDGE_VARIANCE_MAX_ASSETS = 16
+
+
+class EdgeVariances:
+    """Per-edge cavity variances, as message passing derives them:
+    chi_tilde_u = (1/N) sum_k x_kmu^2 chi_wk and chi_tilde_w = (1/N) sum_mu
+    x_kmu^2 chi_umu, each a dense pass over the stored N x p array x*x."""
+
+    def __init__(self, returns: ReturnSet):
+        self.squares = returns.entries * returns.entries
+        self.n = returns.n_assets
+
+    def to_periods(self, chi_w: np.ndarray) -> np.ndarray:
+        return self.squares.T @ chi_w / self.n
+
+    def to_assets(self, chi_u: np.ndarray) -> np.ndarray:
+        return self.squares @ chi_u / self.n
+
+
+class RankOneVariances:
+    """Cavity variances under the rank-one closure x_kmu^2 ~ r_k c_mu / s.
 
     r holds the row means of x*x, c the column means and s the grand mean, so
-    the closure keeps every row sum and column sum of x*x. Returns
-    (r / (s*N), c), whose outer product stands in for the per-edge weights
-    x*x / N of the cavity variances; x*x itself is never formed.
+    the closure keeps every row sum and column sum of x*x. Then
+    chi_tilde_u = c * (r @ chi_w) / (s*N) and chi_tilde_w = r * (c @ chi_u) / (s*N)
+    cost O(N + p), and x*x itself is never formed.
     """
-    x = returns.entries
-    n, p = x.shape
-    r = np.einsum("kt,kt->k", x, x) / p
-    c = np.einsum("kt,kt->t", x, x) / n
-    s = r.mean()
-    if s == 0.0:  # x = 0: every cavity variance is 0, as with per-edge x*x
-        return r, c
-    return r / (s * n), c
+
+    def __init__(self, returns: ReturnSet):
+        x = returns.entries
+        n, p = x.shape
+        r = np.einsum("kt,kt->k", x, x) / p
+        self.col = np.einsum("kt,kt->t", x, x) / n
+        s = r.mean()
+        # x = 0: every cavity variance is 0, as with per-edge x*x
+        self.row = r if s == 0.0 else r / (s * n)
+
+    def to_periods(self, chi_w: np.ndarray) -> np.ndarray:
+        return self.col * (self.row @ chi_w)
+
+    def to_assets(self, chi_u: np.ndarray) -> np.ndarray:
+        return self.row * (self.col @ chi_u)
 
 
-def period_sweep(state: BpState, returns: ReturnSet, scales: tuple[np.ndarray, np.ndarray],
-                 channel, beta: float, damping: float) -> BpState:
+def cavity_variances(returns: ReturnSet):
+    """EdgeVariances up to EDGE_VARIANCE_MAX_ASSETS assets, else RankOneVariances."""
+    if returns.n_assets <= EDGE_VARIANCE_MAX_ASSETS:
+        return EdgeVariances(returns)
+    return RankOneVariances(returns)
+
+
+def period_sweep(state: BpState, returns: ReturnSet, variances, channel,
+                 beta: float, damping: float) -> BpState:
     """Update the period means and variances in place.
 
-    The cavity variance chi_tilde_u = c * (r @ chi_w) / (s*N) takes the
-    closure x_kmu^2 ~ r_k c_mu / s of variance_scales, passed as scales, so
-    it costs O(N + p). The field h_u is (1/sqrt N) sum_k x_k m_wk, the one
-    dense pass, minus the self-response term chi_tilde_u * m_u built from the
+    The cavity variance chi_tilde_u is variances.to_periods(chi_w) (see
+    cavity_variances). The field h_u is (1/sqrt N) sum_k x_k m_wk, a dense
+    pass over x, minus the self-response term chi_tilde_u * m_u built from the
     previous period means. channel maps (h, chi_tilde, beta) -> (m, chi).
     """
     x = returns.entries
-    row, col = scales
-    chi_tilde_u = col * (row @ state.chi_w)
+    chi_tilde_u = variances.to_periods(state.chi_w)
     h_u = x.T @ state.m_w / np.sqrt(returns.n_assets) - chi_tilde_u * state.m_u
     m_channel, chi_channel = channel(h_u, chi_tilde_u, beta)
     m_u = (1.0 - damping) * m_channel + damping * state.m_u
@@ -139,22 +176,20 @@ def period_sweep(state: BpState, returns: ReturnSet, scales: tuple[np.ndarray, n
     return state
 
 
-def asset_sweep(state: BpState, returns: ReturnSet, scales: tuple[np.ndarray, np.ndarray],
-                damping: float) -> BpState:
+def asset_sweep(state: BpState, returns: ReturnSet, variances, damping: float) -> BpState:
     """Update the asset means and variances in place, enforcing the budget through m_tilde.
 
-    The cavity variance chi_tilde_w = r * (c @ chi_u) / (s*N) takes the same
-    closure as period_sweep, and chi_w = 1/chi_tilde_w. The field h_w is
-    (1/sqrt N) sum_mu x_mu m_umu, the one dense pass, plus (not minus) its
-    self-response term chi_tilde_w * m_wk from the previous asset means.
+    The cavity variance chi_tilde_w is variances.to_assets(chi_u), and
+    chi_w = 1/chi_tilde_w. The field h_w is (1/sqrt N) sum_mu x_mu m_umu, a
+    dense pass over x, plus (not minus) its self-response term
+    chi_tilde_w * m_wk from the previous asset means.
     The budget multiplier has the closed form m_tilde = (N - sum chi_w h_w)/sum chi_w
     because the mean update is linear in it, and the undamped means
     chi_w * (h_w + m_tilde) then satisfy sum m_w = N exactly.
     """
     x = returns.entries
     n = returns.n_assets
-    row, col = scales
-    chi_tilde_w = row * (col @ state.chi_u)
+    chi_tilde_w = variances.to_assets(state.chi_u)
     if not np.all(np.isfinite(chi_tilde_w)) or np.any(chi_tilde_w <= 0.0):
         raise DivergenceDetected(
             "nonpositive asset-side cavity variance (alpha <= 1 regime or blow-up)"
@@ -221,7 +256,7 @@ def solve(returns: ReturnSet, model: CostModel, config: BpConfig = None):
 def _iterate(returns: ReturnSet, model: CostModel, config: BpConfig, max_sum: bool):
     """One run of solve: with max_sum, the max-sum `ad` channel and a
     projection onto the budget after every sweep, else channel_for(model)."""
-    scales = variance_scales(returns)
+    variances = cavity_variances(returns)
     n = returns.n_assets
     state = init_state(returns)
     channel = channel_absolute_deviation_max_sum if max_sum else channel_for(model)
@@ -238,8 +273,8 @@ def _iterate(returns: ReturnSet, model: CostModel, config: BpConfig, max_sum: bo
         while total < config.max_sweeps:
             beta = ladder[min(total, ramp_sweeps)]
             previous = state.m_w
-            period_sweep(state, returns, scales, channel, beta, config.damping)
-            asset_sweep(state, returns, scales, config.damping)
+            period_sweep(state, returns, variances, channel, beta, config.damping)
+            asset_sweep(state, returns, variances, config.damping)
             if max_sum:
                 # the max-sum variances have no scale of their own: on small
                 # instances chi_w drifts to 1e9 and beyond, where the budget

@@ -183,11 +183,12 @@ def load_returns(path: str, n_assets: int, center: bool = False) -> ReturnSet:
     center=True subtracts per-asset sample means; off by default so file and
     synthetic inputs go through identical arithmetic.
     """
+    # a handle, not the path: given a str, np.loadtxt would decompress a .gz
+    # name, pick up a missing file's .gz sibling and download a URL
     try:
-        with warnings.catch_warnings():
+        with open(path, "r", encoding="utf-8") as fh, warnings.catch_warnings():
             warnings.simplefilter("error", UserWarning)
-            entries = np.loadtxt(path, delimiter=",", comments=None, ndmin=2,
-                                 encoding="utf-8")
+            entries = np.loadtxt(fh, delimiter=",", comments=None, ndmin=2)
     except (ValueError, UserWarning):
         entries = _scan_returns(path)
     if len(entries) != n_assets:

@@ -24,7 +24,7 @@ from bpfolio.channels import (
 )
 from bpfolio.cli import main, run_sweep
 from bpfolio.engine import (
-    asset_sweep, default_config, init_state, observables, period_sweep, solve, variance_scales,
+    asset_sweep, cavity_variances, default_config, init_state, observables, period_sweep, solve,
 )
 from bpfolio.model import (
     ABSOLUTE_DEVIATION,
@@ -281,14 +281,14 @@ def test_criterion_9_per_sweep_cost_scales_quadratically():
     instances = []
     for n, seed in ((1000, 0), (2000, 1)):
         returns = generate_returns(n, 2 * n, seed)
-        instances.append((returns, variance_scales(returns), init_state(returns)))
+        instances.append((returns, cavity_variances(returns), init_state(returns)))
 
-    def per_sweep_seconds(returns, scales, state, sweeps):
+    def per_sweep_seconds(returns, variances, state, sweeps):
         start = time.perf_counter()
         for _ in range(sweeps):
-            period_sweep(state, returns, scales, channel_mean_variance,
+            period_sweep(state, returns, variances, channel_mean_variance,
                          config.beta, config.damping)
-            asset_sweep(state, returns, scales, config.damping)
+            asset_sweep(state, returns, variances, config.damping)
         return (time.perf_counter() - start) / sweeps
 
     for instance in instances:

@@ -234,21 +234,6 @@ class TestReturnsCsv:
         loaded = load_returns(str(path), 2)
         assert np.array_equal(loaded.entries, [[10.0, 2.0], [3.0, 4.5]])
 
-    @pytest.mark.parametrize("text, n_assets, message", [
-        ("1,2\n\n3,x\n", 2, "non-numeric cell at row 3, column 2: 'x'"),
-        ("1,2,3\n\n4,5,6\n7,8\n", 3, "ragged row at row 4: got 2 columns, expected 3"),
-        # '#' is a malformed cell, never a comment
-        ("1,2\n#3,4\n", 2, "non-numeric cell at row 2, column 1: '#3'"),
-        ("# header\n1,2\n3,4\n", 2, "non-numeric cell at row 1, column 1: '# header'"),
-        ("\n  \n", 2, "no rows in {path}"),
-    ])
-    def test_scan_reports_physical_location(self, tmp_path, text, n_assets, message):
-        path = tmp_path / "returns.csv"
-        path.write_text(text)
-        with pytest.raises(ReturnsParseError) as caught:
-            load_returns(str(path), n_assets)
-        assert str(caught.value) == message.format(path=path)
-
     def test_single_row_and_single_column_stay_two_dimensional(self, tmp_path):
         path = tmp_path / "returns.csv"
         path.write_text("1,2,3\n")
@@ -261,22 +246,48 @@ class TestReturnsCsv:
 
     def test_ragged_row_reported_with_location(self, tmp_path):
         path = tmp_path / "returns.csv"
-        path.write_text("1,2,3\n4,5,6\n7,8\n")
-        with pytest.raises(ReturnsParseError, match="row 3"):
-            load_returns(str(path), 3)
+        # rows are counted as physical lines, blank ones included
+        for text, message in [
+            ("1,2,3\n4,5,6\n7,8\n", "ragged row at row 3: got 2 columns, expected 3"),
+            ("1,2,3\n\n4,5,6\n7,8\n", "ragged row at row 4: got 2 columns, expected 3"),
+        ]:
+            path.write_text(text)
+            with pytest.raises(ReturnsParseError) as caught:
+                load_returns(str(path), 3)
+            assert str(caught.value) == message
 
     def test_non_numeric_cell_reported_with_location(self, tmp_path):
         path = tmp_path / "returns.csv"
-        path.write_text("1,2\n3,oops\n")
-        with pytest.raises(ReturnsParseError, match="row 2, column 2"):
-            load_returns(str(path), 2)
+        for text, message in [
+            ("1,2\n3,oops\n", "non-numeric cell at row 2, column 2: 'oops'"),
+            ("1,2\n\n3,x\n", "non-numeric cell at row 3, column 2: 'x'"),
+            # '#' is a malformed cell, never a comment
+            ("1,2\n#3,4\n", "non-numeric cell at row 2, column 1: '#3'"),
+            ("# header\n1,2\n3,4\n", "non-numeric cell at row 1, column 1: '# header'"),
+        ]:
+            path.write_text(text)
+            with pytest.raises(ReturnsParseError) as caught:
+                load_returns(str(path), 2)
+            assert str(caught.value) == message
 
     def test_empty_file_rejected(self, tmp_path):
         path = tmp_path / "returns.csv"
-        path.write_text("")
-        with pytest.raises(ReturnsParseError) as caught:
-            load_returns(str(path), 2)
-        assert str(caught.value) == f"no rows in {path}"
+        for text in ("", "\n  \n"):
+            path.write_text(text)
+            with pytest.raises(ReturnsParseError) as caught:
+                load_returns(str(path), 2)
+            assert str(caught.value) == f"no rows in {path}"
+
+    def test_compressed_names_read_as_plain_text(self, tmp_path):
+        rs = generate_returns(3, 5, 1)
+        for name in ("returns.csv.gz", "returns.csv.bz2", "returns.csv.xz"):
+            path = tmp_path / name
+            save_returns(rs, str(path))
+            assert np.array_equal(load_returns(str(path), 3).entries, rs.entries)
+        # a missing file is missing, even with a compressed sibling beside it
+        save_returns(rs, str(tmp_path / "other.csv.gz"))
+        with pytest.raises(FileNotFoundError):
+            load_returns(str(tmp_path / "other.csv"), 3)
 
     def test_row_count_must_match(self, tmp_path):
         path = tmp_path / "returns.csv"
