@@ -5,7 +5,7 @@ The package splits into data/model types (`model`), scalar response channels
 solvers (`oracles`), ensemble-level predictions (`theory`), numeric primitives
 (`special`), and the command-line harness (`cli`).
 """
-from .engine import DivergenceDetected, default_config, solve
+from .engine import default_config, solve
 from .model import (
     ABSOLUTE_DEVIATION,
     MEAN_VARIANCE,
@@ -24,7 +24,6 @@ __all__ = [
     "ABSOLUTE_DEVIATION",
     "MEAN_VARIANCE",
     "BpConfig",
-    "DivergenceDetected",
     "convex_oracle",
     "default_config",
     "exact_mean_variance",

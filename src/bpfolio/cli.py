@@ -61,14 +61,10 @@ def _jsonable(value):
     """JSON-safe copy; non-finite floats become strings so output stays strict JSON."""
     if isinstance(value, float) and not math.isfinite(value):
         return "inf" if value > 0 else ("-inf" if value < 0 else "nan")
-    if isinstance(value, (list, tuple)):
+    if isinstance(value, list):
         return [_jsonable(item) for item in value]
     if isinstance(value, dict):
         return {key: _jsonable(item) for key, item in value.items()}
-    if isinstance(value, np.floating):
-        return _jsonable(float(value))
-    if isinstance(value, np.integer):
-        return int(value)
     if isinstance(value, np.ndarray):
         return _jsonable(value.tolist())
     return value
@@ -242,9 +238,7 @@ def _replica_overlap(model: CostModel, alpha: float, config: BpConfig) -> float:
         return theory.rs_zero_temperature_ad(alpha)
     try:
         return theory.rs_fixed_point(alpha, config.beta, model).q
-    except RuntimeError:
-        # near alpha = 1 the damped iteration contracts too slowly to reach
-        # its tolerance within the iteration cap
+    except theory.ReplicaConvergenceError:
         return math.nan
 
 
@@ -368,8 +362,7 @@ def cmd_ky(args) -> int:
     for trial in range(args.trials):
         returns = generate_returns(args.n, args.p, seed + trial)
         w_mv = oracles.exact_mean_variance(returns)
-        w_ad, diagnostics = engine.solve(returns, ABSOLUTE_DEVIATION,
-                                         engine.default_config(ABSOLUTE_DEVIATION))
+        w_ad, diagnostics = engine.solve(returns, ABSOLUTE_DEVIATION)
         if diagnostics.diverged:
             n_diverged += 1
             continue
@@ -455,7 +448,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.handler(args)
-    except (ReturnsParseError, oracles.SingularInstanceError, ValueError) as exc:
+    except (ReturnsParseError, oracles.SingularInstanceError,
+            theory.ReplicaConvergenceError, ValueError) as exc:
         print(f"bpfolio: error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except OSError as exc:

@@ -39,22 +39,22 @@ class DivergenceDetected(RuntimeError):
 
 
 def default_config(model: CostModel, beta: float = None) -> BpConfig:
-    """Solver defaults: single-beta run for smooth costs, annealing ramp for |u|.
+    """Solver defaults: single-beta run for smooth costs, a longer budget for |u|.
 
-    The absolute-deviation optimum needs beta -> infinity; ramping beta a tiny
-    factor per sweep keeps the state glued to the moving fixed point all the
-    way up. With no beta (or one of at least AD_BETA_TOP) that solve is
-    zero-temperature: it runs the max-sum channel on every rung (see
-    zero_temperature). An explicit top below AD_BETA_TOP anneals the
-    finite-temperature channel to that beta instead. For the mean-variance
-    cost the fixed point is beta-independent, so beta=1 is as exact as any
-    other choice and needs no ramp.
+    The absolute-deviation optimum needs beta -> infinity. Above beta 1 every
+    `ad` solve climbs the annealing ramp of beta_ladder, and its budget leaves
+    room for that ramp and a hold phase at the top. With no beta (or one of at
+    least AD_BETA_TOP) that solve is zero-temperature: it runs the max-sum
+    channel on every rung (see zero_temperature). An explicit top below
+    AD_BETA_TOP anneals the finite-temperature channel to that beta instead.
+    For the mean-variance cost the fixed point is beta-independent, so beta=1
+    is as exact as any other choice.
     """
     if model.kind == "ad":
         top = float(beta) if beta is not None else AD_BETA_TOP
         if top <= 1.0:
             return BpConfig(beta=top)
-        return BpConfig(beta=top, anneal=True, max_sweeps=AD_MAX_SWEEPS)
+        return BpConfig(beta=top, max_sweeps=AD_MAX_SWEEPS)
     if model.kind == "mv":
         # the linear MV iteration contracts to a delta floor near 1e-15, and a
         # loose stop leaves the iterate ~delta/(1-rho) short of the fixed point,
@@ -67,18 +67,20 @@ def default_config(model: CostModel, beta: float = None) -> BpConfig:
 def zero_temperature(model: CostModel, config: BpConfig) -> bool:
     """Whether a solve targets the beta -> infinity absolute-deviation optimum.
 
-    That is an annealed `ad` solve whose top is at least AD_BETA_TOP, where the
+    That is an `ad` solve whose top beta is at least AD_BETA_TOP, where the
     finite-temperature channel already sits within 1e-3 of its max-sum limit;
     such a solve runs channel_absolute_deviation_max_sum on every rung, and its
     replica overlap is theory.rs_zero_temperature_ad.
     """
-    return model.kind == "ad" and config.anneal and config.beta >= AD_BETA_TOP
+    return model.kind == "ad" and config.beta >= AD_BETA_TOP
 
 
-def beta_ladder(config: BpConfig) -> list[float]:
-    """Betas to walk, one sweep per entry: [beta] without annealing, else from 1
-    by BETA_RAMP_FACTOR, clamped to end exactly at beta, where solve holds."""
-    if not config.anneal:
+def beta_ladder(model: CostModel, config: BpConfig) -> list[float]:
+    """Betas to walk, one sweep per entry. An `ad` solve above beta 1 anneals:
+    from 1 by BETA_RAMP_FACTOR, clamped to end exactly at beta, where solve
+    holds. Every other solve runs at [beta]: a smooth cost needs no ramp to
+    reach its fixed point."""
+    if model.kind != "ad" or config.beta <= 1.0:
         return [config.beta]
     ladder = [1.0]
     while ladder[-1] < config.beta:
@@ -156,7 +158,7 @@ def cavity_variances(returns: ReturnSet):
 
 
 def period_sweep(state: BpState, returns: ReturnSet, variances, channel,
-                 beta: float, damping: float) -> BpState:
+                 beta: float, damping: float) -> None:
     """Update the period means and variances in place.
 
     The cavity variance chi_tilde_u is variances.to_periods(chi_w) (see
@@ -173,10 +175,9 @@ def period_sweep(state: BpState, returns: ReturnSet, variances, channel,
         raise DivergenceDetected("non-finite period means")
     state.m_u = m_u
     state.chi_u = chi_channel
-    return state
 
 
-def asset_sweep(state: BpState, returns: ReturnSet, variances, damping: float) -> BpState:
+def asset_sweep(state: BpState, returns: ReturnSet, variances, damping: float) -> None:
     """Update the asset means and variances in place, enforcing the budget through m_tilde.
 
     The cavity variance chi_tilde_w is variances.to_assets(chi_u), and
@@ -204,7 +205,6 @@ def asset_sweep(state: BpState, returns: ReturnSet, variances, damping: float) -
     state.chi_w = chi_w
     state.m_tilde = float(m_tilde)
     state.m_w = m_w
-    return state
 
 
 def observables(portfolio: Portfolio, returns: ReturnSet, model: CostModel):
@@ -218,7 +218,7 @@ def observables(portfolio: Portfolio, returns: ReturnSet, model: CostModel):
 
 
 def solve(returns: ReturnSet, model: CostModel, config: BpConfig = None):
-    """Iterate period and asset sweeps (walking the beta ladder if configured)
+    """Iterate period and asset sweeps (walking the beta ladder of an `ad` solve)
     until the asset means settle, and report the portfolio with diagnostics.
 
     Each ladder entry gets one sweep pair; the final entry holds until
@@ -260,7 +260,7 @@ def _iterate(returns: ReturnSet, model: CostModel, config: BpConfig, max_sum: bo
     n = returns.n_assets
     state = init_state(returns)
     channel = channel_absolute_deviation_max_sum if max_sum else channel_for(model)
-    ladder = beta_ladder(config)
+    ladder = beta_ladder(model, config)
     ramp_sweeps = len(ladder) - 1  # sweeps before the final beta
 
     converged = False
@@ -291,7 +291,7 @@ def _iterate(returns: ReturnSet, model: CostModel, config: BpConfig, max_sum: bo
                 if delta < config.tol:
                     converged = True
                     break
-                if config.anneal and total - ramp_sweeps > AVG_BURN_SWEEPS:
+                if ramp_sweeps > 0 and total - ramp_sweeps > AVG_BURN_SWEEPS:
                     avg_accum += state.m_w
                     avg_count += 1
     except DivergenceDetected:

@@ -37,10 +37,6 @@ class ReturnSet:
     def n_periods(self) -> int:
         return self.entries.shape[1]
 
-    @property
-    def alpha(self) -> float:
-        return self.entries.shape[1] / self.entries.shape[0]
-
 
 @dataclass(frozen=True)
 class Portfolio:
@@ -107,7 +103,6 @@ class BpConfig:
     damping: float = 0.5  # weight of the previous iterate in each mean update
     tol: float = 1e-10  # max relative change of m_w declaring convergence
     max_sweeps: int = 5000
-    anneal: bool = False  # ramp beta from 1 up to beta first (engine.beta_ladder)
 
     def __post_init__(self):
         if not 0 < self.beta < math.inf:
@@ -118,8 +113,6 @@ class BpConfig:
             raise ValueError("tol must be positive and finite")
         if self.max_sweeps < 1:
             raise ValueError("max_sweeps must be at least 1")
-        if self.anneal and self.beta < 1.0:
-            raise ValueError("annealing ramps up from beta = 1, so it needs beta >= 1")
 
 
 @dataclass

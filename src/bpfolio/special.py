@@ -7,8 +7,6 @@ array and, by numpy's 0-d rule, returns a scalar for scalar input.
 """
 from __future__ import annotations
 
-from functools import lru_cache
-
 import numpy as np
 from numpy.polynomial.hermite_e import hermegauss
 from scipy.special import erfcx, log_ndtr
@@ -61,9 +59,8 @@ def mills_excess(u):
     return out[()]
 
 
-@lru_cache(maxsize=None)
 def gauss_hermite_dz(order: int) -> tuple[np.ndarray, np.ndarray]:
-    """Read-only (nodes, weights) of the Gauss-Hermite rule for the measure
+    """(nodes, weights) of the Gauss-Hermite rule for the measure
     Dz = dz exp(-z^2/2)/sqrt(2 pi); E[f(z)] ~ weights @ f(nodes).
 
     Exact for polynomials up to degree 2*order - 1; weights renormalized to
@@ -72,7 +69,4 @@ def gauss_hermite_dz(order: int) -> tuple[np.ndarray, np.ndarray]:
     if not 1 <= order <= 256:
         raise ValueError(f"quadrature order must be in [1, 256], got {order}")
     nodes, weights = hermegauss(order)
-    weights = weights / weights.sum()
-    nodes.setflags(write=False)
-    weights.setflags(write=False)
-    return nodes, weights
+    return nodes, weights / weights.sum()

@@ -32,11 +32,9 @@ class SpectralStats:
     eps: float
 
 
-def _check_replica_inputs(alpha: float, beta: float) -> None:
-    if not math.isfinite(alpha):
-        raise ValueError("alpha must be finite")
-    if not 0 < beta < math.inf:
-        raise ValueError("beta must be positive and finite")
+class ReplicaConvergenceError(RuntimeError):
+    """The damped replica fixed-point iteration missed its tolerance within
+    its iteration cap, as it can near alpha = 1, where it contracts slowly."""
 
 
 def rs_closed_form_mv(alpha: float, beta: float) -> RsSolution:
@@ -45,7 +43,10 @@ def rs_closed_form_mv(alpha: float, beta: float) -> RsSolution:
     A finite alpha <= 1 returns the divergent-phase record (q and chi
     infinite) rather than raising: the divergence is the physical answer there.
     """
-    _check_replica_inputs(alpha, beta)
+    if not math.isfinite(alpha):
+        raise ValueError("alpha must be finite")
+    if not 0 < beta < math.inf:
+        raise ValueError("beta must be positive and finite")
     if alpha <= 1.0:
         return RsSolution(q=math.inf, chi=math.inf, eta=math.nan, delta=math.nan,
                           alpha=alpha, beta=beta, divergent=True)
@@ -65,18 +66,18 @@ def rs_fixed_point(alpha: float, beta: float, model: CostModel,
     integrals reuse the channel code path in log domain:
     eta = E_y[y*G(y)], delta = E_y[G(y)^2], with chi = -sqrt(q)/(alpha*eta)
     and q = 1 + alpha*chi^2*delta. Damped iteration starts from the
-    mean-variance closed form.
+    mean-variance closed form; a finite alpha <= 1 returns that closed form's
+    divergent record, and an iteration that does not settle raises
+    ReplicaConvergenceError.
     """
     if order < 32:
         raise ValueError(f"fixed-point quadrature order must be >= 32, got {order}")
-    _check_replica_inputs(alpha, beta)
-    if alpha <= 1.0:
-        return RsSolution(q=math.inf, chi=math.inf, eta=math.nan, delta=math.nan,
-                          alpha=alpha, beta=beta, divergent=True)
+    start = rs_closed_form_mv(alpha, beta)
+    if start.divergent:
+        return start
     y, v = gauss_hermite_dz(order)
     channel = channel_for(model)
 
-    start = rs_closed_form_mv(alpha, beta)
     q, chi = start.q, start.chi
     eta = start.eta
     delta = start.delta
@@ -94,7 +95,7 @@ def rs_fixed_point(alpha: float, beta: float, model: CostModel,
         if residual < _FIXED_POINT_TOL:
             return RsSolution(q=q, chi=chi, eta=eta, delta=delta,
                               alpha=alpha, beta=beta)
-    raise RuntimeError(
+    raise ReplicaConvergenceError(
         f"replica fixed point did not converge in {_FIXED_POINT_CAP} iterations; "
         f"last residuals {['%.3e' % r for r in residuals[-5:]]}"
     )
@@ -116,17 +117,6 @@ def rs_zero_temperature_ad(alpha: float) -> float:
     t = float(ndtri(0.5 + 0.5 / alpha))
     density = math.exp(-0.5 * t * t) / _SQRT_2PI
     return 1.0 / (2.0 * alpha * t * (density - t * float(ndtr(-t))))
-
-
-def mp_bulk_density(alpha: float, lam) -> np.ndarray:
-    """Continuous part of the Marchenko-Pastur density (the alpha<1 atom at 0 is separate)."""
-    lam = np.asarray(lam, dtype=float)
-    lo = (1.0 - math.sqrt(alpha)) ** 2
-    hi = (1.0 + math.sqrt(alpha)) ** 2
-    inside = (lam > lo) & (lam < hi)
-    out = np.zeros_like(lam)
-    out[inside] = np.sqrt((lam[inside] - lo) * (hi - lam[inside])) / (2.0 * np.pi * lam[inside])
-    return out
 
 
 def mp_bulk_expectation(alpha: float, f: Callable[[float], float]) -> float:

@@ -193,11 +193,19 @@ class TestSweepCommand:
 
     def test_unconverged_replica_fixed_point_reports_nan(self, monkeypatch):
         def no_convergence(*args, **kwargs):
-            raise RuntimeError("replica fixed point did not converge")
+            raise theory.ReplicaConvergenceError("replica fixed point did not converge")
 
         monkeypatch.setattr(theory, "rs_fixed_point", no_convergence)
         csv_text = run_sweep(ABSOLUTE_DEVIATION, [2.0], 10, 1, 0, beta=4.0)
         assert csv_text.splitlines()[1].split(",")[5] == "nan"
+
+    def test_replica_overlap_lets_other_errors_through(self, monkeypatch):
+        def broken(*args, **kwargs):
+            raise RuntimeError("not a convergence failure")
+
+        monkeypatch.setattr(theory, "rs_fixed_point", broken)
+        with pytest.raises(RuntimeError, match="not a convergence failure"):
+            _replica_overlap(ABSOLUTE_DEVIATION, 2.0, BpConfig(beta=4.0))
 
     def test_generic_cost_has_no_replica_overlap(self):
         model = generic_model(lambda u: u * u / 2)
@@ -287,6 +295,8 @@ class TestTheoryCommand:
         ["annealed", "--alpha", "2", "--model", "es", "--s", "1", "--gamma", "nan"],
         ["annealed", "--alpha", "-2", "--model", "ad", "--s", "1"],
         ["annealed", "--alpha", "0", "--model", "mv", "--s", "1"],
+        # the damped fixed point contracts too slowly here to meet its tolerance
+        ["replica", "--alpha", "1.01", "--beta", "1048576", "--model", "ad"],
     ])
     def test_invalid_inputs_are_usage_errors(self, capsys, argv):
         code = main(["theory", *argv])
@@ -338,6 +348,45 @@ def test_import_leaves_integrate_and_optimize_unloaded():
     done = subprocess.run([sys.executable, "-c", probe], capture_output=True,
                           text=True, check=True)
     assert done.stdout.strip() == "False False False"
+
+
+# perfbench/tracer.py wraps the package's functions by name; this runs it in a
+# fresh interpreter (install patches module attributes for good) and reads the
+# per-layer metrics one small solve through cli.main leaves behind
+TRACED_SOLVE = """
+import contextlib, io, json, sys
+sys.path[:0] = sys.argv[1:3]
+import tracer as tracing
+from bpfolio import channels, cli, engine, theory
+recorder = tracing.Tracer()
+tracing.install(recorder, cli, engine, channels, theory)
+argv = json.loads(sys.argv[3])
+with contextlib.redirect_stdout(io.StringIO()):
+    code = cli.main(argv)
+n_assets = int(argv[argv.index("--n") + 1])
+n_periods = int(argv[argv.index("--p") + 1])
+print(json.dumps({"code": code,
+                  "layers": tracing.layer_metrics(recorder, n_assets, n_periods)}))
+"""
+
+
+@pytest.mark.parametrize("argv", [
+    ["solve", "--model", "ad", "--random", "--n", "20", "--p", "40"],
+    ["solve", "--model", "mv", "--random", "--n", "20", "--p", "40"],
+    ["solve", "--model", "generic", "--cost-expr", "u**2/2", "--random",
+     "--n", "2", "--p", "16", "--max-sweeps", "20"],
+], ids=["ad", "mv", "generic"])
+def test_benchmark_tracer_sees_every_layer(argv):
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    paths = [os.path.join(root, "src"), os.path.join(root, "perfbench")]
+    done = subprocess.run([sys.executable, "-c", TRACED_SOLVE, *paths, json.dumps(argv)],
+                          capture_output=True, text=True, check=True)
+    result = json.loads(done.stdout)
+    assert result["code"] == 0
+    assert result["layers"]["engine.sweeps"] > 0
+    assert result["layers"]["cli.self_s"] > 0
+    if "generic" in argv:
+        assert result["layers"]["channels.cost_calls_per_element"] > 0
 
 
 class TestSeedEnvironment:

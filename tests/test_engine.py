@@ -63,7 +63,7 @@ class TestDefaultConfig:
     def test_mean_variance_runs_to_the_delta_floor(self):
         config = default_config(MEAN_VARIANCE)
         assert config.beta == 1.0
-        assert config.anneal is False
+        assert beta_ladder(MEAN_VARIANCE, config) == [1.0]
         assert config.tol == 1e-14
 
     def test_mean_variance_beta_passthrough(self):
@@ -72,8 +72,7 @@ class TestDefaultConfig:
     def test_absolute_deviation_gets_annealing_ramp(self):
         config = default_config(ABSOLUTE_DEVIATION)
         assert config.beta == AD_BETA_TOP == float(2 ** 20)
-        assert config.anneal is True
-        ladder = beta_ladder(config)
+        ladder = beta_ladder(ABSOLUTE_DEVIATION, config)
         # 2560 geometric steps undershoot the top by rounding, so the clamp
         # appends the exact final beta as entry 2562
         assert len(ladder) == 2562
@@ -87,18 +86,18 @@ class TestDefaultConfig:
         for beta in (0.5, 16.0, AD_BETA_TOP / 2.0):
             assert not zero_temperature(ABSOLUTE_DEVIATION,
                                         default_config(ABSOLUTE_DEVIATION, beta))
-        assert not zero_temperature(ABSOLUTE_DEVIATION, BpConfig(beta=AD_BETA_TOP))
-        assert not zero_temperature(MEAN_VARIANCE, BpConfig(beta=AD_BETA_TOP, anneal=True))
+        assert zero_temperature(ABSOLUTE_DEVIATION, BpConfig(beta=AD_BETA_TOP))
+        assert not zero_temperature(MEAN_VARIANCE, BpConfig(beta=AD_BETA_TOP))
 
     def test_absolute_deviation_low_beta_is_plain(self):
         config = default_config(ABSOLUTE_DEVIATION, beta=0.5)
         assert config.beta == 0.5
-        assert config.anneal is False
+        assert beta_ladder(ABSOLUTE_DEVIATION, config) == [0.5]
 
     def test_generic_defaults(self):
         config = default_config(generic_model(lambda u: u ** 4))
         assert config.beta == 1.0
-        assert config.anneal is False
+        assert beta_ladder(generic_model(lambda u: u ** 4), config) == [1.0]
         assert config.tol == 1e-10
 
 
@@ -243,14 +242,6 @@ class TestSolveMeanVariance:
             rel = np.max(np.abs(port.positions - exact.positions)
                          / np.abs(exact.positions))
             assert rel <= 1e-8
-
-    def test_ladder_walk_reaches_same_fixed_point(self):
-        rs = generate_returns(30, 90, 6)
-        config = BpConfig(beta=8.0, anneal=True, tol=1e-14)
-        port, diag = solve(rs, MEAN_VARIANCE, config)
-        assert diag.converged
-        exact = exact_mean_variance(rs)
-        assert np.max(np.abs(port.positions - exact.positions)) <= 1e-8
 
     def test_marginal_ratio_never_settles(self):
         # p = N instances sit on the phase boundary: the iteration oscillates

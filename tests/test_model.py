@@ -31,7 +31,6 @@ class TestReturnSet:
         rs = ReturnSet(np.arange(12.0).reshape(3, 4) + 1.0)
         assert rs.n_assets == 3
         assert rs.n_periods == 4
-        assert rs.alpha == pytest.approx(4.0 / 3.0)
 
     def test_rejects_wrong_rank(self):
         with pytest.raises(ValueError, match="2-d"):
@@ -147,7 +146,7 @@ class TestBpConfig:
         assert config.damping == 0.5
         assert config.tol == 1e-10
         assert config.max_sweeps == 5000
-        assert config.anneal is False
+        assert beta_ladder(ABSOLUTE_DEVIATION, config) == [1.0]
 
     @pytest.mark.parametrize("kwargs", [
         {"beta": 0.0},
@@ -159,17 +158,19 @@ class TestBpConfig:
         {"tol": 0.0},
         {"tol": math.nan},
         {"max_sweeps": 0},
-        {"beta": 0.5, "anneal": True},  # the ramp starts at beta = 1
     ])
     def test_rejects_bad_values(self, kwargs):
         with pytest.raises(ValueError):
             BpConfig(**kwargs)
 
     def test_ladder_without_schedule_is_single_beta(self):
-        assert beta_ladder(BpConfig(beta=3.0)) == [3.0]
+        # only an `ad` solve above beta 1 anneals
+        assert beta_ladder(MEAN_VARIANCE, BpConfig(beta=3.0)) == [3.0]
+        assert beta_ladder(generic_model(np.abs), BpConfig(beta=3.0)) == [3.0]
+        assert beta_ladder(ABSOLUTE_DEVIATION, BpConfig(beta=0.5)) == [0.5]
 
     def test_ladder_geometric(self):
-        ladder = beta_ladder(BpConfig(beta=8.0, anneal=True))
+        ladder = beta_ladder(ABSOLUTE_DEVIATION, BpConfig(beta=8.0))
         assert ladder[0] == 1.0
         ratios = np.array(ladder[1:]) / np.array(ladder[:-1])
         assert np.all(ratios > 1.0)
@@ -177,13 +178,13 @@ class TestBpConfig:
 
     def test_ladder_clamps_to_final(self):
         # 3 is not a power of the ramp factor, so the last step is clamped
-        ladder = beta_ladder(BpConfig(beta=3.0, anneal=True))
+        ladder = beta_ladder(ABSOLUTE_DEVIATION, BpConfig(beta=3.0))
         assert ladder[-1] == 3.0
         assert ladder[-2] < 3.0 < ladder[-2] * BETA_RAMP_FACTOR
         assert np.all(np.diff(ladder) > 0.0)
 
     def test_ladder_degenerate_schedule(self):
-        assert beta_ladder(BpConfig(beta=1.0, anneal=True)) == [1.0]
+        assert beta_ladder(ABSOLUTE_DEVIATION, BpConfig(beta=1.0)) == [1.0]
 
 
 class TestReturnsCsv:

@@ -145,13 +145,3 @@ class TestGaussHermite:
             gauss_hermite_dz(0)
         with pytest.raises(ValueError):
             gauss_hermite_dz(257)
-
-    def test_rules_are_cached(self):
-        assert gauss_hermite_dz(64) is gauss_hermite_dz(64)
-
-    def test_rule_arrays_immutable(self):
-        nodes, weights = gauss_hermite_dz(16)
-        with pytest.raises(ValueError):
-            nodes[0] = 0.0
-        with pytest.raises(ValueError):
-            weights[0] = 0.0

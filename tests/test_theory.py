@@ -15,7 +15,6 @@ from bpfolio.model import ABSOLUTE_DEVIATION, MEAN_VARIANCE, Portfolio, generic_
 from bpfolio.theory import (
     annealed_cost,
     marchenko_pastur,
-    mp_bulk_density,
     mp_bulk_expectation,
     portfolio_similarity,
     rs_closed_form_mv,
@@ -177,14 +176,6 @@ class TestMarchenkoPastur:
     def test_bulk_expectation_alpha_validation(self, alpha):
         with pytest.raises(ValueError, match="alpha"):
             mp_bulk_expectation(alpha, lambda lam: 1.0)
-
-    def test_density_zero_outside_support(self):
-        lam = np.array([0.01, 0.17, 5.83, 10.0])
-        assert np.all(mp_bulk_density(2.0, lam) == 0.0)
-
-    def test_density_positive_inside_support(self):
-        lam = np.linspace(0.2, 5.8, 32)
-        assert np.all(mp_bulk_density(2.0, lam) > 0.0)
 
     def test_bulk_mass(self):
         # alpha > 1: all mass in the bulk; alpha < 1: the rest is the atom at 0
