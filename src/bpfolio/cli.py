@@ -390,8 +390,9 @@ def _build_parser() -> _Parser:
 
     solve = commands.add_parser("solve", help="solve one instance, emit JSON")
     solve.add_argument("--model", choices=("mv", "ad", "generic"), required=True)
-    solve.add_argument("--input", help="CSV file, one asset row per line")
-    solve.add_argument("--random", action="store_true", help="draw a seeded Gaussian instance")
+    source = solve.add_mutually_exclusive_group()
+    source.add_argument("--input", help="CSV file, one asset row per line")
+    source.add_argument("--random", action="store_true", help="draw a seeded Gaussian instance")
     solve.add_argument("--n", type=int, help="number of assets")
     solve.add_argument("--p", type=int, help="number of periods (random mode)")
     solve.add_argument("--seed", type=int)

@@ -5,14 +5,7 @@ from __future__ import annotations
 import numpy as np
 
 from .channels import channel_absolute_deviation_max_sum, channel_for
-from .model import (
-    BpConfig,
-    BpState,
-    CostModel,
-    Diagnostics,
-    Portfolio,
-    ReturnSet,
-)
+from .model import BpConfig, CostModel, Diagnostics, Portfolio, ReturnSet
 
 # annealing: one sweep per ladder entry, multiplying beta by 2^(1/128) each
 # sweep from 1 up to the top beta, then holding there. Coarser ladders (for
@@ -35,7 +28,8 @@ DIVERGENCE_THRESHOLD = 1e6
 
 
 class DivergenceDetected(RuntimeError):
-    """Iteration produced a non-finite or unbounded state (alpha <= 1 phase or blow-up)."""
+    """A sweep produced non-finite means or a nonpositive cavity variance
+    (alpha <= 1 phase or blow-up)."""
 
 
 def default_config(model: CostModel, beta: float = None) -> BpConfig:
@@ -86,18 +80,6 @@ def beta_ladder(model: CostModel, config: BpConfig) -> list[float]:
     while ladder[-1] < config.beta:
         ladder.append(min(ladder[-1] * BETA_RAMP_FACTOR, config.beta))
     return ladder
-
-
-def init_state(returns: ReturnSet) -> BpState:
-    """Budget-feasible uniform start: m_w = chi_w = 1, period side zeroed."""
-    n, p = returns.n_assets, returns.n_periods
-    return BpState(
-        m_w=np.ones(n),
-        chi_w=np.ones(n),
-        m_u=np.zeros(p),
-        chi_u=np.zeros(p),
-        m_tilde=0.0,
-    )
 
 
 # up to this many assets the sweeps weight each edge by its own x_kmu^2; above
@@ -157,28 +139,27 @@ def cavity_variances(returns: ReturnSet):
     return RankOneVariances(returns)
 
 
-def period_sweep(state: BpState, returns: ReturnSet, variances, channel,
-                 beta: float, damping: float) -> None:
-    """Update the period means and variances in place.
+def period_sweep(returns: ReturnSet, variances, channel, m_w: np.ndarray,
+                 chi_w: np.ndarray, m_u: np.ndarray, beta: float, damping: float):
+    """New period means and variances (m_u, chi_u) from the asset side.
 
     The cavity variance chi_tilde_u is variances.to_periods(chi_w) (see
     cavity_variances). The field h_u is (1/sqrt N) sum_k x_k m_wk, a dense
     pass over x, minus the self-response term chi_tilde_u * m_u built from the
     previous period means. channel maps (h, chi_tilde, beta) -> (m, chi).
     """
-    x = returns.entries
-    chi_tilde_u = variances.to_periods(state.chi_w)
-    h_u = x.T @ state.m_w / np.sqrt(returns.n_assets) - chi_tilde_u * state.m_u
-    m_channel, chi_channel = channel(h_u, chi_tilde_u, beta)
-    m_u = (1.0 - damping) * m_channel + damping * state.m_u
+    chi_tilde_u = variances.to_periods(chi_w)
+    h_u = returns.entries.T @ m_w / np.sqrt(returns.n_assets) - chi_tilde_u * m_u
+    m_channel, chi_u = channel(h_u, chi_tilde_u, beta)
+    m_u = (1.0 - damping) * m_channel + damping * m_u
     if not np.all(np.isfinite(m_u)):
         raise DivergenceDetected("non-finite period means")
-    state.m_u = m_u
-    state.chi_u = chi_channel
+    return m_u, chi_u
 
 
-def asset_sweep(state: BpState, returns: ReturnSet, variances, damping: float) -> None:
-    """Update the asset means and variances in place, enforcing the budget through m_tilde.
+def asset_sweep(returns: ReturnSet, variances, m_w: np.ndarray, m_u: np.ndarray,
+                chi_u: np.ndarray, damping: float):
+    """New asset means and variances (m_w, chi_w), enforcing the budget through m_tilde.
 
     The cavity variance chi_tilde_w is variances.to_assets(chi_u), and
     chi_w = 1/chi_tilde_w. The field h_w is (1/sqrt N) sum_mu x_mu m_umu, a
@@ -187,24 +168,22 @@ def asset_sweep(state: BpState, returns: ReturnSet, variances, damping: float) -
     The budget multiplier has the closed form m_tilde = (N - sum chi_w h_w)/sum chi_w
     because the mean update is linear in it, and the undamped means
     chi_w * (h_w + m_tilde) then satisfy sum m_w = N exactly.
+    The returned m_w is always a new array, never the m_w passed in.
     """
-    x = returns.entries
     n = returns.n_assets
-    chi_tilde_w = variances.to_assets(state.chi_u)
+    chi_tilde_w = variances.to_assets(chi_u)
     if not np.all(np.isfinite(chi_tilde_w)) or np.any(chi_tilde_w <= 0.0):
         raise DivergenceDetected(
             "nonpositive asset-side cavity variance (alpha <= 1 regime or blow-up)"
         )
-    h_w = x @ state.m_u / np.sqrt(n) + chi_tilde_w * state.m_w
+    h_w = returns.entries @ m_u / np.sqrt(n) + chi_tilde_w * m_w
     chi_w = 1.0 / chi_tilde_w
     m_tilde = (n - chi_w @ h_w) / chi_w.sum()
     m_target = chi_w * (h_w + m_tilde)
-    m_w = (1.0 - damping) * m_target + damping * state.m_w
+    m_w = (1.0 - damping) * m_target + damping * m_w
     if not np.all(np.isfinite(m_w)):
         raise DivergenceDetected("non-finite asset means")
-    state.chi_w = chi_w
-    state.m_tilde = float(m_tilde)
-    state.m_w = m_w
+    return m_w, chi_w
 
 
 def observables(portfolio: Portfolio, returns: ReturnSet, model: CostModel):
@@ -258,7 +237,8 @@ def _iterate(returns: ReturnSet, model: CostModel, config: BpConfig, max_sum: bo
     projection onto the budget after every sweep, else channel_for(model)."""
     variances = cavity_variances(returns)
     n = returns.n_assets
-    state = init_state(returns)
+    # budget-feasible uniform start; period_sweep sets chi_u before it is read
+    m_w, chi_w, m_u = np.ones(n), np.ones(n), np.zeros(returns.n_periods)
     channel = channel_absolute_deviation_max_sum if max_sum else channel_for(model)
     ladder = beta_ladder(model, config)
     ramp_sweeps = len(ladder) - 1  # sweeps before the final beta
@@ -272,34 +252,35 @@ def _iterate(returns: ReturnSet, model: CostModel, config: BpConfig, max_sum: bo
     try:
         while total < config.max_sweeps:
             beta = ladder[min(total, ramp_sweeps)]
-            previous = state.m_w
-            period_sweep(state, returns, variances, channel, beta, config.damping)
-            asset_sweep(state, returns, variances, config.damping)
+            # asset_sweep returns a new m_w, so previous keeps the old iterate
+            # and the projection below may add to m_w in place
+            previous = m_w
+            m_u, chi_u = period_sweep(returns, variances, channel, m_w, chi_w, m_u,
+                                      beta, config.damping)
+            m_w, chi_w = asset_sweep(returns, variances, m_w, m_u, chi_u, config.damping)
             if max_sum:
                 # the max-sum variances have no scale of their own: on small
                 # instances chi_w drifts to 1e9 and beyond, where the budget
                 # closure keeps only a few digits, so re-impose sum m_w = N
-                state.m_w += (n - state.m_w.sum()) / n
+                m_w += (n - m_w.sum()) / n
             total += 1
-            delta = float(np.max(
-                np.abs(state.m_w - previous) / np.maximum(1.0, np.abs(state.m_w))
-            ))
-            q_hat = float(state.m_w @ state.m_w) / n
+            delta = float(np.max(np.abs(m_w - previous) / np.maximum(1.0, np.abs(m_w))))
+            q_hat = float(m_w @ m_w) / n
             if not np.isfinite(q_hat) or q_hat > DIVERGENCE_THRESHOLD:
-                raise DivergenceDetected(f"q_hat={q_hat:.3e} beyond threshold")
+                diverged = True
+                break
             if total > ramp_sweeps:
                 if delta < config.tol:
                     converged = True
                     break
                 if ramp_sweeps > 0 and total - ramp_sweeps > AVG_BURN_SWEEPS:
-                    avg_accum += state.m_w
+                    avg_accum += m_w
                     avg_count += 1
     except DivergenceDetected:
         diverged = True
-        converged = False
 
     if converged or diverged or avg_count == 0:
-        positions = state.m_w.copy()
+        positions = m_w
     else:
         positions = avg_accum / avg_count
     portfolio = Portfolio(positions=positions)

@@ -1,4 +1,6 @@
-"""Shared domain types: return sets, portfolios, cost models, solver config and records."""
+"""Shared domain types: return sets, portfolios, cost models, solver config, and
+the records a solve or a replica calculation returns. The solver's iterate is
+not among them: engine's solve loop holds it as local arrays."""
 from __future__ import annotations
 
 import math
@@ -113,18 +115,6 @@ class BpConfig:
             raise ValueError("tol must be positive and finite")
         if self.max_sweeps < 1:
             raise ValueError("max_sweeps must be at least 1")
-
-
-@dataclass
-class BpState:
-    """What one sweep hands the next: asset and period means and variances plus
-    the budget multiplier; single-owner mutable during a solve."""
-
-    m_w: np.ndarray
-    chi_w: np.ndarray
-    m_u: np.ndarray
-    chi_u: np.ndarray
-    m_tilde: float = 0.0
 
 
 @dataclass(frozen=True)

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Callable
 
@@ -34,7 +35,26 @@ class SpectralStats:
 
 class ReplicaConvergenceError(RuntimeError):
     """The damped replica fixed-point iteration missed its tolerance within
-    its iteration cap, as it can near alpha = 1, where it contracts slowly."""
+    its iteration cap, as it can near alpha = 1, where it contracts slowly,
+    or its eta integral came out nonnegative or nan, as at beta near 0,
+    where the channel's log-ratio cancels to 0."""
+
+
+def _mean_variance_q_chi(alpha: float, beta: float) -> tuple[float, float]:
+    """q = alpha/(alpha-1) and chi = 1/(beta*(alpha-1)), both inf for a finite
+    alpha <= 1. ValueError for a non-finite alpha, a beta outside (0, inf),
+    or a beta*(alpha-1) so large or small that chi over- or underflows."""
+    if not math.isfinite(alpha):
+        raise ValueError("alpha must be finite")
+    if not 0 < beta < math.inf:
+        raise ValueError("beta must be positive and finite")
+    if alpha <= 1.0:
+        return math.inf, math.inf
+    chi = 1.0 / (beta * (alpha - 1.0))
+    if not 0.0 < chi < math.inf:
+        raise ValueError(f"alpha={alpha:g} and beta={beta:g} put chi = "
+                         "1/(beta*(alpha-1)) beyond double precision")
+    return alpha / (alpha - 1.0), chi
 
 
 def rs_closed_form_mv(alpha: float, beta: float) -> RsSolution:
@@ -42,18 +62,21 @@ def rs_closed_form_mv(alpha: float, beta: float) -> RsSolution:
 
     A finite alpha <= 1 returns the divergent-phase record (q and chi
     infinite) rather than raising: the divergence is the physical answer there.
+    Where alpha and beta take chi or delta out of the float range, or leave
+    q - 1 at 0, it raises ValueError rather than report a wrong record.
     """
-    if not math.isfinite(alpha):
-        raise ValueError("alpha must be finite")
-    if not 0 < beta < math.inf:
-        raise ValueError("beta must be positive and finite")
-    if alpha <= 1.0:
-        return RsSolution(q=math.inf, chi=math.inf, eta=math.nan, delta=math.nan,
+    q, chi = _mean_variance_q_chi(alpha, beta)
+    if math.isinf(q):
+        return RsSolution(q=q, chi=chi, eta=math.nan, delta=math.nan,
                           alpha=alpha, beta=beta, divergent=True)
-    q = alpha / (alpha - 1.0)
-    chi = 1.0 / (beta * (alpha - 1.0))
+    # at extreme alpha or beta, alpha*chi^2 leaves the normal floats, q - 1
+    # rounds to 0 (alpha >= 2^53) or delta overflows: each would be wrong
+    scale = alpha * chi * chi
+    delta = (q - 1.0) / scale if scale >= sys.float_info.min else math.inf
+    if not 0.0 < delta < math.inf:
+        raise ValueError(f"alpha={alpha:g} and beta={beta:g} put the replica "
+                         "order parameters beyond double precision")
     eta = -math.sqrt(q) / (alpha * chi)
-    delta = (q - 1.0) / (alpha * chi * chi)
     return RsSolution(q=q, chi=chi, eta=eta, delta=delta, alpha=alpha, beta=beta)
 
 
@@ -66,25 +89,26 @@ def rs_fixed_point(alpha: float, beta: float, model: CostModel,
     integrals reuse the channel code path in log domain:
     eta = E_y[y*G(y)], delta = E_y[G(y)^2], with chi = -sqrt(q)/(alpha*eta)
     and q = 1 + alpha*chi^2*delta. Damped iteration starts from the
-    mean-variance closed form; a finite alpha <= 1 returns that closed form's
-    divergent record, and an iteration that does not settle raises
-    ReplicaConvergenceError.
+    mean-variance q and chi; a finite alpha <= 1 returns the mean-variance
+    closed form's divergent record, and an iteration that does not settle
+    raises ReplicaConvergenceError.
     """
     if order < 32:
         raise ValueError(f"fixed-point quadrature order must be >= 32, got {order}")
-    start = rs_closed_form_mv(alpha, beta)
-    if start.divergent:
-        return start
+    q, chi = _mean_variance_q_chi(alpha, beta)
+    if math.isinf(q):
+        return rs_closed_form_mv(alpha, beta)
     y, v = gauss_hermite_dz(order)
     channel = channel_for(model)
 
-    q, chi = start.q, start.chi
-    eta = start.eta
-    delta = start.delta
     residuals: list[float] = []
     for _ in range(_FIXED_POINT_CAP):
         kernel, _ = channel(y * math.sqrt(q), chi, beta)
         eta = float(v @ (y * kernel))
+        if not eta < 0.0:
+            raise ReplicaConvergenceError(
+                f"replica fixed point at alpha={alpha:g}, beta={beta:g} lost its "
+                f"eta integral (eta={eta!r}), which must be negative")
         delta = float(v @ (kernel * kernel))
         chi_next = -math.sqrt(q) / (alpha * eta)
         q_next = 1.0 + alpha * chi * chi * delta
@@ -159,16 +183,18 @@ def marchenko_pastur(alpha: float) -> SpectralStats:
         return SpectralStats(alpha=alpha, lambda_minus=lo, lambda_plus=hi,
                              inv_lambda_mean=math.inf, inv_lambda_sq_mean=math.inf,
                              q=math.inf, eps=0.0)
+    # q = <1/lambda^2> / <1/lambda>^2 = alpha/(alpha-1) directly: at large
+    # alpha the moments underflow, and their cube and square would overflow
     inv_mean = 1.0 / (alpha - 1.0)
-    inv_sq_mean = alpha / (alpha - 1.0) ** 3
+    q = alpha / (alpha - 1.0)
     return SpectralStats(
         alpha=alpha,
         lambda_minus=lo,
         lambda_plus=hi,
         inv_lambda_mean=inv_mean,
-        inv_lambda_sq_mean=inv_sq_mean,
-        q=inv_sq_mean / inv_mean ** 2,
-        eps=0.5 / inv_mean,
+        inv_lambda_sq_mean=q * inv_mean * inv_mean,
+        q=q,
+        eps=0.5 * (alpha - 1.0),
     )
 
 

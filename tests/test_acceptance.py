@@ -24,7 +24,7 @@ from bpfolio.channels import (
 )
 from bpfolio.cli import main, run_sweep
 from bpfolio.engine import (
-    asset_sweep, cavity_variances, default_config, init_state, observables, period_sweep, solve,
+    asset_sweep, cavity_variances, default_config, observables, period_sweep, solve,
 )
 from bpfolio.model import (
     ABSOLUTE_DEVIATION,
@@ -281,15 +281,20 @@ def test_criterion_9_per_sweep_cost_scales_quadratically():
     instances = []
     for n, seed in ((1000, 0), (2000, 1)):
         returns = generate_returns(n, 2 * n, seed)
-        instances.append((returns, cavity_variances(returns), init_state(returns)))
+        # the sweep arrays m_w, chi_w, m_u, chi_u, from the uniform start
+        state = [np.ones(n), np.ones(n), np.zeros(2 * n), np.zeros(2 * n)]
+        instances.append((returns, cavity_variances(returns), state))
 
     def per_sweep_seconds(returns, variances, state, sweeps):
+        m_w, chi_w, m_u, chi_u = state
         start = time.perf_counter()
         for _ in range(sweeps):
-            period_sweep(state, returns, variances, channel_mean_variance,
-                         config.beta, config.damping)
-            asset_sweep(state, returns, variances, config.damping)
-        return (time.perf_counter() - start) / sweeps
+            m_u, chi_u = period_sweep(returns, variances, channel_mean_variance, m_w, chi_w,
+                                      m_u, config.beta, config.damping)
+            m_w, chi_w = asset_sweep(returns, variances, m_w, m_u, chi_u, config.damping)
+        elapsed = time.perf_counter() - start
+        state[:] = m_w, chi_w, m_u, chi_u  # the next block resumes from here
+        return elapsed / sweeps
 
     for instance in instances:
         per_sweep_seconds(*instance, 5)  # warm the caches and the BLAS threads

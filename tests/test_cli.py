@@ -58,6 +58,15 @@ class TestSolveCommand:
     def test_no_input_source_is_usage_error(self, capsys):
         assert main(["solve", "--model", "mv"]) == 1
 
+    def test_input_and_random_together_are_usage_error(self, capsys, tmp_path):
+        path = tmp_path / "returns.csv"
+        path.write_text("1,2\n3,4\n")
+        with pytest.raises(SystemExit) as excinfo:
+            main(["solve", "--model", "mv", "--input", str(path), "--n", "2",
+                  "--random", "--p", "9"])
+        assert excinfo.value.code == 1
+        assert "not allowed with argument" in capsys.readouterr().err
+
     def test_random_requires_both_dimensions(self, capsys):
         assert main(["solve", "--model", "mv", "--random", "--n", "10"]) == 1
 
@@ -297,6 +306,13 @@ class TestTheoryCommand:
         ["annealed", "--alpha", "0", "--model", "mv", "--s", "1"],
         # the damped fixed point contracts too slowly here to meet its tolerance
         ["replica", "--alpha", "1.01", "--beta", "1048576", "--model", "ad"],
+        # beta*(alpha-1) overflows, so chi would be 0
+        ["replica", "--alpha", "1e308", "--beta", "2", "--model", "mv"],
+        ["replica", "--alpha", "1e308", "--beta", "2", "--model", "ad"],
+        # alpha*chi^2 underflows to 0
+        ["replica", "--alpha", "2", "--beta", "1e300", "--model", "mv"],
+        # the channel's log-ratio cancels to 0, and eta with it
+        ["replica", "--alpha", "2", "--beta", "1e-20", "--model", "ad"],
     ])
     def test_invalid_inputs_are_usage_errors(self, capsys, argv):
         code = main(["theory", *argv])
@@ -305,6 +321,15 @@ class TestTheoryCommand:
         assert captured.out == ""
         assert captured.err.startswith("bpfolio: error:")
         assert "Traceback" not in captured.err
+
+    def test_spectral_moments_at_extreme_alpha(self, capsys):
+        # (alpha-1)^3 overflows here, but every reported field is a float
+        code, record = run_json(capsys, ["theory", "mp", "--alpha", "1e103"])
+        assert code == 0
+        assert record["q"] == 1.0
+        assert record["eps"] == pytest.approx(5e102, rel=1e-15)
+        assert record["inv_lambda_mean"] == pytest.approx(1e-103, rel=1e-15)
+        assert record["inv_lambda_sq_mean"] == pytest.approx(1e-206, rel=1e-15)
 
     def test_replica_rejects_expected_shortfall(self, capsys):
         code = main(["theory", "replica", "--alpha", "2", "--model", "es"])
@@ -361,11 +386,12 @@ from bpfolio import channels, cli, engine, theory
 recorder = tracing.Tracer()
 tracing.install(recorder, cli, engine, channels, theory)
 argv = json.loads(sys.argv[3])
-with contextlib.redirect_stdout(io.StringIO()):
+out = io.StringIO()
+with contextlib.redirect_stdout(out):
     code = cli.main(argv)
 n_assets = int(argv[argv.index("--n") + 1])
 n_periods = int(argv[argv.index("--p") + 1])
-print(json.dumps({"code": code,
+print(json.dumps({"code": code, "record": json.loads(out.getvalue()),
                   "layers": tracing.layer_metrics(recorder, n_assets, n_periods)}))
 """
 
@@ -383,7 +409,8 @@ def test_benchmark_tracer_sees_every_layer(argv):
                           capture_output=True, text=True, check=True)
     result = json.loads(done.stdout)
     assert result["code"] == 0
-    assert result["layers"]["engine.sweeps"] > 0
+    # each sweep passes through the patched engine.period_sweep exactly once
+    assert result["layers"]["engine.sweeps"] == result["record"]["sweeps"] > 0
     assert result["layers"]["cli.self_s"] > 0
     if "generic" in argv:
         assert result["layers"]["channels.cost_calls_per_element"] > 0

@@ -15,7 +15,6 @@ from bpfolio.engine import (
     beta_ladder,
     cavity_variances,
     default_config,
-    init_state,
     observables,
     period_sweep,
     solve,
@@ -25,7 +24,6 @@ from bpfolio.model import (
     ABSOLUTE_DEVIATION,
     MEAN_VARIANCE,
     BpConfig,
-    BpState,
     Portfolio,
     ReturnSet,
     generate_returns,
@@ -38,14 +36,11 @@ DIAGONAL_2X2 = ReturnSet(np.array([[1.0, 0.0], [0.0, 2.0]]))
 CLOSURE_2X2 = RankOneVariances(DIAGONAL_2X2)
 
 
-def make_state(n, p, **overrides):
-    state = BpState(
-        m_w=np.ones(n), chi_w=np.ones(n),
-        m_u=np.zeros(p), chi_u=np.zeros(p),
-    )
-    for name, value in overrides.items():
-        setattr(state, name, np.asarray(value, dtype=float))
-    return state
+def make_state(n, p, m_w=None, chi_w=None, m_u=None, chi_u=None):
+    """The sweep arrays (m_w, chi_w, m_u, chi_u): the uniform start where not given."""
+    defaults = (np.ones(n), np.ones(n), np.zeros(p), np.zeros(p))
+    return tuple(default if value is None else np.asarray(value, dtype=float)
+                 for default, value in zip(defaults, (m_w, chi_w, m_u, chi_u)))
 
 
 class RecordingChannel:
@@ -101,35 +96,40 @@ class TestDefaultConfig:
         assert config.tol == 1e-10
 
 
-class TestInitState:
-    def test_uniform_feasible_start(self):
-        state = init_state(generate_returns(5, 10, 0))
-        assert np.all(state.m_w == 1.0)
-        assert np.all(state.chi_w == 1.0)
-        assert np.all(state.m_u == 0.0)
-        assert np.all(state.chi_u == 0.0)
-        assert state.m_tilde == 0.0
-        assert state.m_w.sum() == 5.0
+class TestUniformStart:
+    def test_one_sweep_pair_from_the_uniform_start(self):
+        # solve starts from m_w = chi_w = 1 and m_u = 0, so one sweep reports
+        # exactly the m_w of one sweep pair applied to that start by hand
+        n, p = 5, 10
+        rs = generate_returns(n, p, 0)
+        config = BpConfig(max_sweeps=1)
+        variances = cavity_variances(rs)
+        m_u, chi_u = period_sweep(rs, variances, channel_mean_variance, np.ones(n),
+                                  np.ones(n), np.zeros(p), config.beta, config.damping)
+        m_w, _ = asset_sweep(rs, variances, np.ones(n), m_u, chi_u, config.damping)
+        port, diag = solve(rs, MEAN_VARIANCE, config)
+        assert diag.sweeps_used == 1
+        assert np.array_equal(port.positions, m_w)
 
 
 class TestPeriodSweep:
     def test_cavity_fields_from_frozen_asset_means(self):
         # negligible chi_w turns off both the smearing and the self-response,
         # leaving h_u as the scaled per-period portfolio returns
-        state = make_state(2, 2, m_w=[1.6, 0.4], chi_w=[1e-12, 1e-12])
+        m_w, chi_w, m_u, _ = make_state(2, 2, m_w=[1.6, 0.4], chi_w=[1e-12, 1e-12])
         channel = RecordingChannel()
-        period_sweep(state, DIAGONAL_2X2, CLOSURE_2X2, channel, 1.0, 0.0)
+        m_u, chi_u = period_sweep(DIAGONAL_2X2, CLOSURE_2X2, channel, m_w, chi_w, m_u, 1.0, 0.0)
         root2 = np.sqrt(2.0)
         (h_u, _, beta), = channel.calls
         assert beta == 1.0
         assert h_u == pytest.approx([1.6 / root2, 0.8 / root2], abs=1e-9)
-        assert state.m_u == pytest.approx([-1.6 / root2, -0.8 / root2], abs=1e-9)
-        assert np.all(state.chi_u > 0.0)
+        assert m_u == pytest.approx([-1.6 / root2, -0.8 / root2], abs=1e-9)
+        assert np.all(chi_u > 0.0)
 
     def test_onsager_term_uses_previous_period_means(self):
-        state = make_state(2, 2, m_w=[1.6, 0.4], chi_w=[1.0, 1.0], m_u=[1.0, -1.0])
+        m_w, chi_w, m_u, _ = make_state(2, 2, m_w=[1.6, 0.4], chi_w=[1.0, 1.0], m_u=[1.0, -1.0])
         channel = RecordingChannel()
-        period_sweep(state, DIAGONAL_2X2, CLOSURE_2X2, channel, 1.0, 0.0)
+        period_sweep(DIAGONAL_2X2, CLOSURE_2X2, channel, m_w, chi_w, m_u, 1.0, 0.0)
         root2 = np.sqrt(2.0)
         (h_u, chi_tilde_u, _), = channel.calls
         # chi_tilde_u = (0.5, 2.0); the correction subtracts chi_tilde * old m_u
@@ -137,14 +137,14 @@ class TestPeriodSweep:
         assert h_u == pytest.approx([1.6 / root2 - 0.5, 0.8 / root2 + 2.0])
 
     def test_damping_blends_old_and_new(self):
-        state = make_state(2, 2, m_w=[1.6, 0.4], chi_w=[1e-12, 1e-12], m_u=[1.0, 1.0])
+        m_w, chi_w, m_u, _ = make_state(2, 2, m_w=[1.6, 0.4], chi_w=[1e-12, 1e-12],
+                                        m_u=[1.0, 1.0])
 
         def channel(h, chi_tilde, beta):
             return np.array([-1.0, -3.0]), np.zeros(2)
 
-        period_sweep(state, DIAGONAL_2X2, CLOSURE_2X2, channel, 1.0, 0.25)
-        assert state.m_u == pytest.approx([0.75 * -1.0 + 0.25 * 1.0,
-                                           0.75 * -3.0 + 0.25 * 1.0])
+        m_u, _ = period_sweep(DIAGONAL_2X2, CLOSURE_2X2, channel, m_w, chi_w, m_u, 1.0, 0.25)
+        assert m_u == pytest.approx([0.75 * -1.0 + 0.25 * 1.0, 0.75 * -3.0 + 0.25 * 1.0])
 
 
 class TestAssetSweep:
@@ -157,29 +157,29 @@ class TestAssetSweep:
         # so chi_w = (2.5, 0.625); h_w = (1, -1) + chi_tilde_w = (1.4, 0.6)
         # and m_tilde = (2 - 3.875) / 3.125 = -0.6. Either way the undamped
         # m_w = chi_w * (h_w + m_tilde) is (2, 0).
-        for variances, chi_w, m_tilde in [
-            (EdgeVariances(DIAGONAL_2X2), [1.0, 1.0], 0.0),
-            (CLOSURE_2X2, [2.5, 0.625], -0.6),
+        for variances, expected_chi_w in [
+            (EdgeVariances(DIAGONAL_2X2), [1.0, 1.0]),
+            (CLOSURE_2X2, [2.5, 0.625]),
         ]:
-            state = make_state(2, 2, chi_u=[2.0, 0.5], m_u=[root2, -root2 / 2.0])
-            asset_sweep(state, DIAGONAL_2X2, variances, 0.0)
-            assert state.chi_w == pytest.approx(chi_w)
-            assert state.m_tilde == pytest.approx(m_tilde, abs=1e-15)
-            assert state.m_w == pytest.approx([2.0, 0.0])
+            m_w, _, m_u, chi_u = make_state(2, 2, m_u=[root2, -root2 / 2.0], chi_u=[2.0, 0.5])
+            m_w, chi_w = asset_sweep(DIAGONAL_2X2, variances, m_w, m_u, chi_u, 0.0)
+            assert chi_w == pytest.approx(expected_chi_w)
+            assert m_w == pytest.approx([2.0, 0.0])
 
     def test_budget_held_with_damping(self):
         rs = generate_returns(20, 60, 8)
         variances = cavity_variances(rs)
-        state = init_state(rs)
+        m_w, chi_w, m_u, _ = make_state(20, 60)
         for _ in range(50):
-            period_sweep(state, rs, variances, channel_mean_variance, 1.0, 0.5)
-            asset_sweep(state, rs, variances, 0.5)
-            assert abs(state.m_w.sum() - 20.0) <= 1e-9 * 20.0
+            m_u, chi_u = period_sweep(rs, variances, channel_mean_variance, m_w, chi_w, m_u,
+                                      1.0, 0.5)
+            m_w, chi_w = asset_sweep(rs, variances, m_w, m_u, chi_u, 0.5)
+            assert abs(m_w.sum() - 20.0) <= 1e-9 * 20.0
 
     def test_vanishing_cavity_variance_raises(self):
-        state = make_state(2, 2, chi_u=[0.0, 0.0])
+        m_w, _, m_u, chi_u = make_state(2, 2, chi_u=[0.0, 0.0])
         with pytest.raises(DivergenceDetected, match="cavity variance"):
-            asset_sweep(state, DIAGONAL_2X2, CLOSURE_2X2, 0.5)
+            asset_sweep(DIAGONAL_2X2, CLOSURE_2X2, m_w, m_u, chi_u, 0.5)
 
 
 class TestVarianceClosure:
@@ -198,16 +198,16 @@ class TestVarianceClosure:
         returns = ReturnSet(a[:, None] * signs * b[None, :])
         squares = returns.entries * returns.entries
         closure = RankOneVariances(returns)
-        state = make_state(n, p, chi_w=rng.uniform(0.1, 2.0, n),
-                           m_w=rng.standard_normal(n))
+        m_w, chi_w, m_u, _ = make_state(n, p, chi_w=rng.uniform(0.1, 2.0, n),
+                                        m_w=rng.standard_normal(n))
         channel = RecordingChannel()
-        period_sweep(state, returns, closure, channel, 1.0, 0.5)
+        period_sweep(returns, closure, channel, m_w, chi_w, m_u, 1.0, 0.5)
         (_, chi_tilde_u, _), = channel.calls
-        np.testing.assert_allclose(chi_tilde_u, squares.T @ state.chi_w / n,
+        np.testing.assert_allclose(chi_tilde_u, squares.T @ chi_w / n,
                                    rtol=1e-12, atol=0)
-        state.chi_u = rng.uniform(0.1, 2.0, p)
-        asset_sweep(state, returns, closure, 0.5)
-        np.testing.assert_allclose(1.0 / state.chi_w, squares @ state.chi_u / n,
+        chi_u = rng.uniform(0.1, 2.0, p)
+        _, chi_w = asset_sweep(returns, closure, m_w, m_u, chi_u, 0.5)
+        np.testing.assert_allclose(1.0 / chi_w, squares @ chi_u / n,
                                    rtol=1e-12, atol=0)
 
 
