@@ -249,17 +249,19 @@ def run_sweep(model: CostModel, alphas, n_assets: int, trials: int, base_seed: i
     Each alpha solves instances of round(alpha*n_assets) periods, and its row
     reports the alpha of those instances, periods over assets, and the
     references at that alpha. Per-trial seed is base_seed + trial index.
-    Statistics cover non-diverged trials (an annealed absolute-deviation solve
-    averages over its hold phase and reports converged=False while the
-    portfolio is accurate to a few 1e-5). The mean-variance references are the
-    closed forms q = alpha/(alpha-1) and eps = (alpha-1)/2. The default
-    absolute-deviation sweep (no beta, or one of at least 2^20) is
-    zero-temperature: its trials run max-sum BP and its q reference is the
-    closed form theory.rs_zero_temperature_ad (2.485 at alpha=2). An explicit
-    beta below 2^20 solves at finite temperature, and its q reference is the
-    replica fixed point at that beta, nan where that fixed point does not
-    converge. The absolute-deviation eps has no closed form and is reported
-    nan. A generic cost has neither reference, so both columns are nan.
+    Statistics cover non-diverged trials (an absolute-deviation solve above
+    beta 1 averages over its hold phase and reports converged=False; at
+    N=100, alpha=2 the default solve's cost sat 1.3e-4 above the LP optimum
+    on average over 100 draws, 3.7e-4 at worst). The mean-variance
+    references are the closed forms q = alpha/(alpha-1) and eps =
+    (alpha-1)/2. The default absolute-deviation sweep (no beta, or one of at
+    least 2^20) is zero-temperature: its trials run max-sum BP and its q
+    reference is the closed form theory.rs_zero_temperature_ad (2.485 at
+    alpha=2). An explicit beta below 2^20 solves at finite temperature, and
+    its q reference is the replica fixed point at that beta, nan where that
+    fixed point does not converge. The absolute-deviation eps has no closed
+    form and is reported nan. A generic cost has neither reference, so both
+    columns are nan.
     """
     config = engine.default_config(model, beta)
     if trials == 1:

@@ -2,26 +2,34 @@
 budget-multiplier closure, damping, and convergence/divergence control."""
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 
 from .channels import channel_absolute_deviation_max_sum, channel_for
 from .model import BpConfig, CostModel, Diagnostics, Portfolio, ReturnSet
 
-# annealing: one sweep per ladder entry, multiplying beta by 2^(1/128) each
-# sweep from 1 up to the top beta, then holding there. Coarser ladders (for
-# example doubling with a few hundred sweeps per rung) leave the iterate outside
-# the narrowing stability basin of each rung's fixed point and stall at
-# percent-level cost error; the fine ramp tracks it adiabatically.
+# finite-temperature annealing: one sweep per ladder entry, multiplying beta
+# by 2^(1/128) each sweep from 1 up to the top beta, then holding there.
+# Coarser ladders (for example doubling with a few hundred sweeps per rung)
+# leave the iterate outside the narrowing stability basin of each rung's fixed
+# point and stall at percent-level cost error; the fine ramp tracks it
+# adiabatically. The zero-temperature solve has no ladder: the max-sum clip has
+# no temperature to track, its beta only bounds |m_u|, and at AD_BETA_TOP that
+# bound never binds, so it holds at the top beta from its first sweep.
 BETA_RAMP_FACTOR = 2.0 ** (1.0 / 128.0)
 AD_BETA_TOP = float(2 ** 20)
 AD_MAX_SWEEPS = 6000
+ZERO_TEMPERATURE_MAX_SWEEPS = 1500
 
 # at very large beta the |u| fixed point goes locally unstable and the iterate
 # orbits it on a small limit cycle instead of settling; the cycle is centered
-# on the optimum, so for annealed runs that do not reach tol the reported
-# portfolio is the time average of m_w over the hold phase at the top beta,
-# after discarding the first AVG_BURN_SWEEPS sweeps of ramp-tracking lag.
+# on the optimum, so an `ad` run above beta 1 that does not reach tol reports
+# the time average of m_w over the hold phase at the top beta, after
+# discarding its first sweeps: AVG_BURN_SWEEPS of ramp-tracking lag on the
+# ladder, ZERO_TEMPERATURE_BURN_SWEEPS of transient from the uniform start.
 AVG_BURN_SWEEPS = 1000
+ZERO_TEMPERATURE_BURN_SWEEPS = 250
 
 # q_hat beyond this flags the divergent phase (alpha <= 1 or blow-up)
 DIVERGENCE_THRESHOLD = 1e6
@@ -35,19 +43,21 @@ class DivergenceDetected(RuntimeError):
 def default_config(model: CostModel, beta: float = None) -> BpConfig:
     """Solver defaults: single-beta run for smooth costs, a longer budget for |u|.
 
-    The absolute-deviation optimum needs beta -> infinity. Above beta 1 every
-    `ad` solve climbs the annealing ramp of beta_ladder, and its budget leaves
-    room for that ramp and a hold phase at the top. With no beta (or one of at
-    least AD_BETA_TOP) that solve is zero-temperature: it runs the max-sum
-    channel on every rung (see zero_temperature). An explicit top below
-    AD_BETA_TOP anneals the finite-temperature channel to that beta instead.
-    For the mean-variance cost the fixed point is beta-independent, so beta=1
-    is as exact as any other choice.
+    The absolute-deviation optimum needs beta -> infinity. With no beta (or
+    one of at least AD_BETA_TOP) the `ad` solve is zero-temperature (see
+    zero_temperature): it runs the max-sum channel at that beta from the first
+    sweep, for ZERO_TEMPERATURE_MAX_SWEEPS. An explicit beta in
+    (1, AD_BETA_TOP) anneals the finite-temperature channel up the ladder of
+    beta_ladder, and its AD_MAX_SWEEPS budget leaves room for that ramp and a
+    hold phase at the top. For the mean-variance cost the fixed point is
+    beta-independent, so beta=1 is as exact as any other choice.
     """
     if model.kind == "ad":
         top = float(beta) if beta is not None else AD_BETA_TOP
         if top <= 1.0:
             return BpConfig(beta=top)
+        if top >= AD_BETA_TOP:
+            return BpConfig(beta=top, max_sweeps=ZERO_TEMPERATURE_MAX_SWEEPS)
         return BpConfig(beta=top, max_sweeps=AD_MAX_SWEEPS)
     if model.kind == "mv":
         # the linear MV iteration contracts to a delta floor near 1e-15, and a
@@ -63,17 +73,19 @@ def zero_temperature(model: CostModel, config: BpConfig) -> bool:
 
     That is an `ad` solve whose top beta is at least AD_BETA_TOP, where the
     finite-temperature channel already sits within 1e-3 of its max-sum limit;
-    such a solve runs channel_absolute_deviation_max_sum on every rung, and its
-    replica overlap is theory.rs_zero_temperature_ad.
+    such a solve runs channel_absolute_deviation_max_sum at that beta from its
+    first sweep, with no ladder, and its replica overlap is
+    theory.rs_zero_temperature_ad.
     """
     return model.kind == "ad" and config.beta >= AD_BETA_TOP
 
 
 def beta_ladder(model: CostModel, config: BpConfig) -> list[float]:
-    """Betas to walk, one sweep per entry. An `ad` solve above beta 1 anneals:
-    from 1 by BETA_RAMP_FACTOR, clamped to end exactly at beta, where solve
-    holds. Every other solve runs at [beta]: a smooth cost needs no ramp to
-    reach its fixed point."""
+    """Betas a finite-temperature run walks, one sweep per entry. An `ad`
+    solve above beta 1 anneals: from 1 by BETA_RAMP_FACTOR, clamped to end
+    exactly at beta, where solve holds. Every other solve runs at [beta]: a
+    smooth cost needs no ramp to reach its fixed point. The zero-temperature
+    run does not walk it (see zero_temperature)."""
     if model.kind != "ad" or config.beta <= 1.0:
         return [config.beta]
     ladder = [1.0]
@@ -197,50 +209,63 @@ def observables(portfolio: Portfolio, returns: ReturnSet, model: CostModel):
 
 
 def solve(returns: ReturnSet, model: CostModel, config: BpConfig = None):
-    """Iterate period and asset sweeps (walking the beta ladder of an `ad` solve)
-    until the asset means settle, and report the portfolio with diagnostics.
+    """Iterate period and asset sweeps until the asset means settle, and
+    report the portfolio with diagnostics.
 
-    Each ladder entry gets one sweep pair; the final entry holds until
-    convergence or the sweep budget runs out, and is the beta the result is
-    reported at. Convergence: max_k |dm_wk| / max(1, |m_wk|) < tol, tested
-    once the ladder has been climbed. Divergence (q_hat above
-    DIVERGENCE_THRESHOLD, nonpositive cavity variances, or non-finite values)
-    marks the run instead of raising; the partial state is returned.
+    A finite-temperature solve walks beta_ladder, one sweep pair per entry;
+    the final entry holds until convergence or the sweep budget runs out, and
+    is the beta the result is reported at. Convergence: max_k |dm_wk| /
+    max(1, |m_wk|) < tol, tested once the ladder has been climbed. Divergence
+    (q_hat above DIVERGENCE_THRESHOLD, nonpositive cavity variances, or
+    non-finite values) marks the run instead of raising; the partial state is
+    returned.
 
     A zero-temperature solve (see zero_temperature) first runs the max-sum
-    `ad` channel in place of channel_for(model), projecting each iterate back
-    onto the budget, which the closure alone holds only to roundoff times the
-    size of chi_w. The clip gives saturated periods chi_u = 0 exactly, so on
-    a few-asset instance a sweep can saturate every period and leave the
-    asset side without variance; when that run flags divergence, the solve
-    is repeated with the finite-temperature channel, whose result it reports.
+    `ad` channel in place of channel_for(model), at config.beta from the first
+    sweep, projecting each iterate back onto the budget, which the closure
+    alone holds only to roundoff times the size of chi_w. The clip gives
+    saturated periods chi_u = 0 exactly, so on a few-asset instance a sweep
+    can saturate every period and leave the asset side without variance; when
+    that run flags divergence, the solve is repeated with the
+    finite-temperature channel up the ladder to config.beta, with a budget of
+    at least AD_MAX_SWEEPS, and reports that run.
 
     Reported portfolio: the final m_w when the run converges (an exact fixed
-    point) or diverges (partial state, flagged). An annealed run that ends the
-    hold phase still above tol reports the burn-in-discarded time average of
-    m_w over that phase instead: near the top beta the fixed point loses local
-    stability and the iterate circles it, so the instantaneous m_w sits on the
-    cycle while the average sits at its center. Every damped iterate satisfies
-    the budget exactly, hence so does the average.
+    point) or diverges (partial state, flagged). An `ad` run above beta 1 that
+    ends the hold phase still above tol reports the burn-in-discarded time
+    average of m_w over that phase instead: near the top beta the fixed point
+    loses local stability and the iterate circles it, so the instantaneous
+    m_w sits on the cycle while the average sits at its center. Every damped
+    iterate satisfies the budget exactly, hence so does the average.
     """
     if config is None:
         config = default_config(model)
-    if zero_temperature(model, config):
-        portfolio, diagnostics = _iterate(returns, model, config, max_sum=True)
-        if not diagnostics.diverged:
-            return portfolio, diagnostics
-    return _iterate(returns, model, config, max_sum=False)
+    if not zero_temperature(model, config):
+        return _iterate(returns, model, config, max_sum=False)
+    portfolio, diagnostics = _iterate(returns, model, config, max_sum=True)
+    if not diagnostics.diverged:
+        return portfolio, diagnostics
+    # the ladder needs its own budget: at AD_BETA_TOP it takes 2561 sweeps
+    # to climb before the hold phase starts
+    fallback = replace(config, max_sweeps=max(config.max_sweeps, AD_MAX_SWEEPS))
+    return _iterate(returns, model, fallback, max_sum=False)
 
 
 def _iterate(returns: ReturnSet, model: CostModel, config: BpConfig, max_sum: bool):
-    """One run of solve: with max_sum, the max-sum `ad` channel and a
-    projection onto the budget after every sweep, else channel_for(model)."""
+    """One run of solve: with max_sum, the max-sum `ad` channel held at
+    config.beta and a projection onto the budget after every sweep, else
+    channel_for(model) along beta_ladder."""
     variances = cavity_variances(returns)
     n = returns.n_assets
     # budget-feasible uniform start; period_sweep sets chi_u before it is read
     m_w, chi_w, m_u = np.ones(n), np.ones(n), np.zeros(returns.n_periods)
-    channel = channel_absolute_deviation_max_sum if max_sum else channel_for(model)
-    ladder = beta_ladder(model, config)
+    if max_sum:
+        channel, ladder = channel_absolute_deviation_max_sum, [config.beta]
+        burn_in = ZERO_TEMPERATURE_BURN_SWEEPS
+    else:
+        channel, ladder = channel_for(model), beta_ladder(model, config)
+        # only an annealed run holds on a limit cycle; the others report m_w
+        burn_in = AVG_BURN_SWEEPS if len(ladder) > 1 else None
     ramp_sweeps = len(ladder) - 1  # sweeps before the final beta
 
     converged = False
@@ -273,7 +298,7 @@ def _iterate(returns: ReturnSet, model: CostModel, config: BpConfig, max_sum: bo
                 if delta < config.tol:
                     converged = True
                     break
-                if ramp_sweeps > 0 and total - ramp_sweeps > AVG_BURN_SWEEPS:
+                if burn_in is not None and total - ramp_sweeps > burn_in:
                     avg_accum += m_w
                     avg_count += 1
     except DivergenceDetected:

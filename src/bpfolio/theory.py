@@ -109,7 +109,13 @@ def rs_fixed_point(alpha: float, beta: float, model: CostModel,
             raise ReplicaConvergenceError(
                 f"replica fixed point at alpha={alpha:g}, beta={beta:g} lost its "
                 f"eta integral (eta={eta!r}), which must be negative")
-        delta = float(v @ (kernel * kernel))
+        with np.errstate(over="ignore"):
+            delta = float(v @ (kernel * kernel))
+        if not math.isfinite(delta):
+            # the ad kernel reaches about beta, whose square overflows past 1e154
+            raise ReplicaConvergenceError(
+                f"replica fixed point at alpha={alpha:g}, beta={beta:g} lost its "
+                f"delta integral (delta={delta!r}), which must be finite")
         chi_next = -math.sqrt(q) / (alpha * eta)
         q_next = 1.0 + alpha * chi * chi * delta
         residual = max(abs(q_next - q), abs(chi_next - chi))

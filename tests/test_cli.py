@@ -322,6 +322,19 @@ class TestTheoryCommand:
         assert captured.err.startswith("bpfolio: error:")
         assert "Traceback" not in captured.err
 
+    @pytest.mark.parametrize("alpha, beta", [("2", "1e300"), ("1.5", "1e200")])
+    def test_overflowing_replica_kernel_prints_one_error_line(self, alpha, beta):
+        # pytest captures warnings in-process, so the child shows what a user
+        # sees: the kernel's square overflowed with a numpy RuntimeWarning line
+        argv = ["theory", "replica", "--alpha", alpha, "--beta", beta, "--model", "ad"]
+        probe = f"import sys; from bpfolio.cli import main; sys.exit(main({argv!r}))"
+        done = subprocess.run([sys.executable, "-c", probe], capture_output=True,
+                              text=True, timeout=60)
+        assert done.returncode == 1
+        assert done.stdout == ""
+        assert len(done.stderr.splitlines()) == 1
+        assert done.stderr.startswith("bpfolio: error:")
+
     def test_spectral_moments_at_extreme_alpha(self, capsys):
         # (alpha-1)^3 overflows here, but every reported field is a float
         code, record = run_json(capsys, ["theory", "mp", "--alpha", "1e103"])

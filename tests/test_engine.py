@@ -7,10 +7,13 @@ from hypothesis import strategies as st
 from bpfolio.channels import channel_mean_variance
 from bpfolio.engine import (
     AD_BETA_TOP,
+    AD_MAX_SWEEPS,
     EDGE_VARIANCE_MAX_ASSETS,
     DivergenceDetected,
     EdgeVariances,
+    ZERO_TEMPERATURE_MAX_SWEEPS,
     RankOneVariances,
+    _iterate,
     asset_sweep,
     beta_ladder,
     cavity_variances,
@@ -64,15 +67,21 @@ class TestDefaultConfig:
     def test_mean_variance_beta_passthrough(self):
         assert default_config(MEAN_VARIANCE, beta=7.0).beta == 7.0
 
-    def test_absolute_deviation_gets_annealing_ramp(self):
+    def test_zero_temperature_default_holds_at_the_top_beta(self):
         config = default_config(ABSOLUTE_DEVIATION)
         assert config.beta == AD_BETA_TOP == float(2 ** 20)
+        assert config.max_sweeps == ZERO_TEMPERATURE_MAX_SWEEPS == 1500
+
+    def test_finite_temperature_ad_keeps_the_ladder(self):
+        config = default_config(ABSOLUTE_DEVIATION, beta=2.0 ** 10)
         ladder = beta_ladder(ABSOLUTE_DEVIATION, config)
-        # 2560 geometric steps undershoot the top by rounding, so the clamp
-        # appends the exact final beta as entry 2562
-        assert len(ladder) == 2562
-        assert ladder[-1] == float(2 ** 20)
-        assert config.max_sweeps > len(ladder)
+        # 1280 geometric steps undershoot the top by rounding, so the clamp
+        # appends the exact final beta as entry 1282
+        assert len(ladder) == 1282
+        assert ladder[-1] == 2.0 ** 10
+        assert config.max_sweeps == AD_MAX_SWEEPS > len(ladder)
+        # the fallback of a diverged zero-temperature run climbs to 2^20
+        assert len(beta_ladder(ABSOLUTE_DEVIATION, default_config(ABSOLUTE_DEVIATION))) == 2562
 
     def test_zero_temperature_is_the_default_ad_solve(self):
         assert zero_temperature(ABSOLUTE_DEVIATION, default_config(ABSOLUTE_DEVIATION))
@@ -309,11 +318,32 @@ class TestSolveAbsoluteDeviation:
         assert not diag.converged
         assert abs(port.budget_gap()) <= 1e-10
 
+    def test_default_solve_spends_its_budget_at_the_top_beta(self):
+        rs = generate_returns(100, 200, 1)
+        port, diag = solve(rs, ABSOLUTE_DEVIATION)
+        assert diag.sweeps_used == 1500
+        assert not diag.converged
+        assert not diag.diverged
+        assert abs(port.budget_gap()) <= 1e-9 * rs.n_assets
+
     def test_deterministic(self):
         rs = generate_returns(16, 32, 2)
         first, _ = solve(rs, ABSOLUTE_DEVIATION)
         second, _ = solve(rs, ABSOLUTE_DEVIATION)
         assert np.array_equal(first.positions, second.positions)
+
+
+def few_asset_draws():
+    """The draws with N in 2..4 among 60 of N in 2..8, p in 3N..5N."""
+    rng = np.random.default_rng(8)
+    draws = []
+    for _ in range(60):
+        n = int(rng.integers(2, 9))
+        p = int(rng.integers(3 * n, 5 * n + 1))
+        x = rng.standard_normal((n, p))
+        if n <= 4:
+            draws.append(x)
+    return draws
 
 
 class TestSolveAbsoluteDeviationProperties:
@@ -349,20 +379,22 @@ class TestSolveAbsoluteDeviationProperties:
         assert permuted_diag.eps_hat == pytest.approx(diag.eps_hat, rel=2e-2)
 
     def test_small_instances_diverge_no_more_than_at_finite_temperature(self):
-        # the draws with N in 2..4 among 60 of N in 2..8, p in 3N..5N; the
-        # finite-temperature ladder to 2^20 flags 7 of these 21, and the
-        # max-sum channel alone, which can saturate every period at once, 15
-        rng = np.random.default_rng(8)
-        draws = []
-        for _ in range(60):
-            n = int(rng.integers(2, 9))
-            p = int(rng.integers(3 * n, 5 * n + 1))
-            x = rng.standard_normal((n, p))
-            if n <= 4:
-                draws.append(x)
+        # the finite-temperature ladder to 2^20 flags 7 of these 21 draws,
+        # and the max-sum channel alone, which can saturate every period at
+        # once, 15
+        draws = few_asset_draws()
         assert len(draws) == 21
         diverged = sum(solve(ReturnSet(x), ABSOLUTE_DEVIATION)[1].diverged for x in draws)
         assert diverged <= 7
+
+    def test_diverged_clip_run_falls_back_up_the_ladder(self):
+        config = default_config(ABSOLUTE_DEVIATION)
+        x = next(x for x in few_asset_draws()
+                 if _iterate(ReturnSet(x), ABSOLUTE_DEVIATION, config, max_sum=True)[1].diverged)
+        _, diag = solve(ReturnSet(x), ABSOLUTE_DEVIATION)
+        # past the 2562 rungs of the ladder to 2^20, so past the clip's budget
+        # of 1500 too: the fallback runs with the ladder's own budget
+        assert diag.diverged or diag.sweeps_used > 2562
 
     def test_few_assets_stay_near_the_lp_optimum(self):
         # per-edge variances read a mean relative cost gap of 1.6e-2 and a
