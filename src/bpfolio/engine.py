@@ -63,8 +63,12 @@ def default_config(model: CostModel, beta: float = None) -> BpConfig:
         # the linear MV iteration contracts to a delta floor near 1e-15, and a
         # loose stop leaves the iterate ~delta/(1-rho) short of the fixed point,
         # which per small components reads as ~1e-6; run it to the floor so the
-        # closed-form match holds per component.
-        return BpConfig(beta=float(beta) if beta is not None else 1.0, tol=1e-14)
+        # closed-form match holds per component. Its message passing is AMP for
+        # least squares, whose error contracts by d + (1-d)/sqrt(alpha) per
+        # sweep at damping d (state evolution), so it runs undamped: at alpha 2
+        # it reaches the floor in about 97 sweeps, against 225 at d = 0.5.
+        return BpConfig(beta=float(beta) if beta is not None else 1.0, damping=0.0,
+                        tol=1e-14)
     return BpConfig(beta=float(beta) if beta is not None else 1.0)
 
 

@@ -380,12 +380,13 @@ class TestKyCommand:
 
 def test_import_leaves_integrate_and_optimize_unloaded():
     # together about 0.25 s of start-up; only the theory and oracle calls need
-    # integrate and optimize, and nothing in the package needs scipy.linalg
+    # integrate and optimize, nothing in the package needs scipy.linalg, and
+    # only load_returns needs orjson
     probe = ("import sys, bpfolio.cli; print(*(name in sys.modules for name in "
-             "('scipy.integrate', 'scipy.optimize', 'scipy.linalg')))")
+             "('scipy.integrate', 'scipy.optimize', 'scipy.linalg', 'orjson')))")
     done = subprocess.run([sys.executable, "-c", probe], capture_output=True,
                           text=True, check=True)
-    assert done.stdout.strip() == "False False False"
+    assert done.stdout.strip() == "False False False False"
 
 
 # perfbench/tracer.py wraps the package's functions by name; this runs it in a

@@ -67,6 +67,14 @@ class TestDefaultConfig:
     def test_mean_variance_beta_passthrough(self):
         assert default_config(MEAN_VARIANCE, beta=7.0).beta == 7.0
 
+    def test_only_mean_variance_runs_undamped(self):
+        assert default_config(MEAN_VARIANCE).damping == 0.0
+        assert default_config(MEAN_VARIANCE, beta=7.0).damping == 0.0
+        assert BpConfig().damping == 0.5
+        for beta in (None, 0.5, 16.0):
+            assert default_config(ABSOLUTE_DEVIATION, beta).damping == 0.5
+        assert default_config(generic_model(lambda u: u ** 4)).damping == 0.5
+
     def test_zero_temperature_default_holds_at_the_top_beta(self):
         config = default_config(ABSOLUTE_DEVIATION)
         assert config.beta == AD_BETA_TOP == float(2 ** 20)
@@ -251,6 +259,14 @@ class TestSolveMeanVariance:
             rel = np.max(np.abs(port.positions - exact.positions)
                          / np.abs(exact.positions))
             assert rel <= 1e-8
+
+    def test_undamped_default_reaches_the_floor_in_few_sweeps(self):
+        # state evolution predicts ln(1e-14)/ln(1/sqrt(2)) = 93 sweeps at
+        # alpha 2; at damping 0.5 these instances took 222-226
+        for seed in range(5):
+            _, diag = solve(generate_returns(100, 200, seed), MEAN_VARIANCE)
+            assert diag.converged and not diag.diverged
+            assert diag.sweeps_used <= 130
 
     def test_marginal_ratio_never_settles(self):
         # p = N instances sit on the phase boundary: the iteration oscillates

@@ -6,7 +6,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bpfolio.engine import BETA_RAMP_FACTOR, beta_ladder
@@ -206,6 +206,11 @@ class TestReturnsCsv:
         assert np.array_equal(loaded.entries, [[1.0, 2.0], [3.0, 4.0]])
 
     @settings(max_examples=40, deadline=None, derandomize=True)
+    # {:.17g} writes -0.0 as a bare -0, which orjson reads as the integer 0
+    @example(values=[[-0.0, 1.0, 0.0], [2.0, -0.0, -0.0]], fmt="{:.17g}", blank_after=1,
+             newline="\n")
+    @example(values=[[0.0, -0.0, 0.5], [-0.0, 0.0, -0.0]], fmt="{:.17g}", blank_after=0,
+             newline="\r\n")
     @given(
         values=st.lists(
             st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=3, max_size=3),
@@ -222,18 +227,28 @@ class TestReturnsCsv:
             with open(path, "w", encoding="utf-8", newline="") as fh:
                 fh.write(newline.join(lines) + newline)
             scanned = _scan_returns(path)
-            # with the scan disabled, the file has to load through np.loadtxt
+            # with the scan disabled, the file has to load through the orjson rows
             with mock.patch("bpfolio.model._scan_returns", side_effect=AssertionError):
                 loaded = load_returns(path, len(values)).entries
         assert loaded.shape == scanned.shape == (len(values), 3)
         assert np.array_equal(loaded.view(np.int64), scanned.view(np.int64))
 
     def test_scan_reads_what_float_reads(self, tmp_path):
-        # np.loadtxt rejects the digit separator and the whitespace-only line
+        # none of these cells is a JSON number, so each file loads through the scan
         path = tmp_path / "returns.csv"
         path.write_text("1_0,2\n   \n3,4.5\n")
         loaded = load_returns(str(path), 2)
         assert np.array_equal(loaded.entries, [[10.0, 2.0], [3.0, 4.5]])
+        path.write_text(".5,1.\n+1,1_0\n-.25,01\n")
+        loaded = load_returns(str(path), 3)
+        assert np.array_equal(loaded.entries, [[0.5, 1.0], [1.0, 10.0], [-0.25, 1.0]])
+
+    def test_overflowing_and_nan_cells_are_non_finite(self, tmp_path):
+        path = tmp_path / "returns.csv"
+        for text in ("1,2\n3,1e400\n", "1,nan\n3,4\n", "-1e400,2\n3,4\n"):
+            path.write_text(text)
+            with pytest.raises(ValueError, match="returns contain non-finite entries"):
+                load_returns(str(path), 2)
 
     def test_single_row_and_single_column_stay_two_dimensional(self, tmp_path):
         path = tmp_path / "returns.csv"
@@ -265,6 +280,13 @@ class TestReturnsCsv:
             # '#' is a malformed cell, never a comment
             ("1,2\n#3,4\n", "non-numeric cell at row 2, column 1: '#3'"),
             ("# header\n1,2\n3,4\n", "non-numeric cell at row 1, column 1: '# header'"),
+            # a lone \r ends a line, so it cannot join ",3" onto the row before
+            ("1,2\r,3\n4,5,6\n", "non-numeric cell at row 2, column 1: ''"),
+            # JSON values that are not numbers
+            ("1,2\n3,true\n", "non-numeric cell at row 2, column 2: 'true'"),
+            ("null,2\n3,4\n", "non-numeric cell at row 1, column 1: 'null'"),
+            ('1,"1"\n3,4\n', "non-numeric cell at row 1, column 2: '\"1\"'"),
+            ("1,2\n[1],4\n", "non-numeric cell at row 2, column 1: '[1]'"),
         ]:
             path.write_text(text)
             with pytest.raises(ReturnsParseError) as caught:
@@ -295,6 +317,12 @@ class TestReturnsCsv:
         path.write_text("1,2\n3,4\n")
         with pytest.raises(ReturnsParseError, match="expected 3 asset rows"):
             load_returns(str(path), 3)
+        path.write_text("1,2\n3,4\n\n5,6\n7,8\n")
+        # more rows than asked for, and asked-for counts no file could hold
+        for n_assets in (2, 3, 10 ** 15, 0, -1):
+            with pytest.raises(ReturnsParseError) as caught:
+                load_returns(str(path), n_assets)
+            assert str(caught.value) == f"expected {n_assets} asset rows, found 4"
 
     def test_center_subtracts_row_means(self, tmp_path):
         rs = generate_returns(4, 50, 9)
