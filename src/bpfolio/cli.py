@@ -447,8 +447,10 @@ def _build_parser() -> _Parser:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = _build_parser().parse_args(argv)
+    except SystemExit as exc:  # argparse exits on --help (0) and on a usage error (1)
+        return exc.code
     try:
         return args.handler(args)
     except (ReturnsParseError, oracles.SingularInstanceError,

@@ -160,46 +160,19 @@ class ReturnsParseError(ValueError):
 def load_returns(path: str, n_assets: int, center: bool = False) -> ReturnSet:
     """Read one asset per CSV row; p is inferred from the column count.
 
-    Each row is parsed as a JSON array with orjson (see _parse_returns); when
-    that fails, the file is scanned cell by cell instead, which reads whatever
-    float() reads and locates a malformed cell or row by its physical line
-    number. Both give the bits float() gives for every cell.
+    The file is read once, in binary, and split into lines where text mode
+    splits them, so a lone carriage return ends a line too; blank lines are
+    skipped. Each stripped row is read as the JSON array b"[" + row + b"]"
+    with orjson into a preallocated (n_assets, p) array. A row orjson cannot
+    read (a byte outside _NUMBER_BYTES, or a cell such as .5, 1., +1 or 01,
+    or one that overflows a double) is read cell by cell with float()
+    instead. Both give the bits float() gives for every cell, except that
+    orjson returns a bare -0 as the integer 0, so zero cells are read again
+    with float() to keep their sign. A malformed cell or a ragged row raises
+    ReturnsParseError with its physical line number, and so does a file
+    with no rows or with a row count other than n_assets.
     center=True subtracts per-asset sample means; off by default so file and
     synthetic inputs go through identical arithmetic.
-    """
-    try:
-        entries = _parse_returns(path, n_assets)
-    except _NotPlainJson:
-        entries = _scan_returns(path)
-    if len(entries) != n_assets:
-        raise ReturnsParseError(f"expected {n_assets} asset rows, found {len(entries)}")
-    if center:
-        entries = entries - entries.mean(axis=1, keepdims=True)
-    return ReturnSet(entries)
-
-
-class _NotPlainJson(Exception):
-    """_parse_returns cannot read the file; the scan reads it or locates the fault."""
-
-
-# bytes a row may hold once its ends are stripped: those of JSON numbers, the
-# comma, and blanks, which float() strips too. Every other byte sends the file
-# to the scan, so the JSON literals true, false and null, strings and arrays
-# never load as numbers, and an inner \r, a line break to the scan, never
-# joins two lines into one row.
-_NUMBER_BYTES = b"0123456789.eE+-, \t"
-
-
-def _parse_returns(path: str, n_assets: int) -> np.ndarray:
-    """load_returns' fast parse: each non-blank line, stripped, is read as the
-    JSON array b"[" + line + b"]" into a preallocated (n_assets, p) array.
-
-    It raises _NotPlainJson on a byte outside _NUMBER_BYTES, on a cell that
-    orjson does not read as a JSON number (such as .5, 1., +1 or 01) or that
-    overflows a double, on a ragged row, on more rows than n_assets, and on a
-    file with no rows. Every JSON number reads as float() reads it, except
-    that orjson returns a bare -0 as the integer 0, so zero cells are read
-    again with float() to keep their sign.
     """
     import orjson  # here, not at the top: `import bpfolio.cli` does not need it
 
@@ -207,62 +180,77 @@ def _parse_returns(path: str, n_assets: int) -> np.ndarray:
         size = os.fstat(fh.fileno()).st_size
         entries = None
         rows = 0
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            if line.translate(None, _NUMBER_BYTES):
-                raise _NotPlainJson
-            try:
-                values = orjson.loads(b"[" + line + b"]")
-            except orjson.JSONDecodeError:
-                raise _NotPlainJson from None
-            if entries is None:
-                p = len(values)
-                # a row of p cells takes at least 2p - 1 bytes and a line
-                # break, so a wrong n_assets cannot allocate past the file
-                entries = np.empty((max(0, min(n_assets, (size + 1) // (2 * p))), p))
-            if len(values) != entries.shape[1] or rows == len(entries):
-                raise _NotPlainJson
-            row = entries[rows]
-            row[:] = values
-            zeros = np.flatnonzero(row == 0.0)
-            if zeros.size:
-                cells = line.split(b",")
-                row[zeros] = [float(cells[j]) for j in zeros]
-            rows += 1
-    if entries is None:
-        raise _NotPlainJson
-    return entries[:rows]
-
-
-def _scan_returns(path: str) -> np.ndarray:
-    """load_returns' cell-by-cell parse: blank lines are skipped, and a
-    non-numeric cell, a ragged row or an empty file raises ReturnsParseError."""
-    rows: list[list[float]] = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for row_index, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            cells = line.split(",")
-            values = []
-            for col_index, cell in enumerate(cells, start=1):
-                try:
-                    values.append(float(cell))
-                except ValueError:
+        row_index = 0  # physical line number, blank lines included
+        for chunk in fh:
+            lines = chunk.replace(b"\r\n", b"\n").split(b"\r") if b"\r" in chunk else (chunk,)
+            for line in lines:
+                row_index += 1
+                line = line.strip()
+                if not line:
+                    continue
+                values = None
+                if not line.translate(None, _NUMBER_BYTES):
+                    try:
+                        values = orjson.loads(b"[" + line + b"]")
+                    except orjson.JSONDecodeError:
+                        pass
+                from_json = values is not None
+                if not from_json:
+                    values = _float_row(line, row_index)
+                    if not values:
+                        continue
+                if entries is None:
+                    p = len(values)
+                    # a row of p cells takes at least 2p - 1 bytes and a line
+                    # break, so a wrong n_assets cannot allocate past the file
+                    entries = np.empty((max(0, min(n_assets, (size + 1) // (2 * p))), p))
+                if len(values) != entries.shape[1]:
                     raise ReturnsParseError(
-                        f"non-numeric cell at row {row_index}, column {col_index}: {cell!r}"
-                    ) from None
-            if rows and len(values) != len(rows[0]):
-                raise ReturnsParseError(
-                    f"ragged row at row {row_index}: got {len(values)} columns, "
-                    f"expected {len(rows[0])}"
-                )
-            rows.append(values)
-    if not rows:
+                        f"ragged row at row {row_index}: got {len(values)} columns, "
+                        f"expected {entries.shape[1]}"
+                    )
+                # rows past the allocation are still read, to locate a fault
+                # and to count them
+                if rows < len(entries):
+                    row = entries[rows]
+                    row[:] = values
+                    if from_json:
+                        zeros = np.flatnonzero(row == 0.0)
+                        if zeros.size:
+                            cells = line.split(b",")
+                            row[zeros] = [float(cells[j]) for j in zeros]
+                rows += 1
+    if entries is None:
         raise ReturnsParseError(f"no rows in {path}")
-    return np.array(rows, dtype=float)
+    if rows != n_assets:
+        raise ReturnsParseError(f"expected {n_assets} asset rows, found {rows}")
+    if center:
+        entries = entries - entries.mean(axis=1, keepdims=True)
+    return ReturnSet(entries)
+
+
+# bytes a row may hold once its ends are stripped: those of JSON numbers, the
+# comma, and blanks, which float() strips too. A row with any other byte is
+# read with float(), so the JSON literals true, false and null, strings and
+# arrays never load as numbers.
+_NUMBER_BYTES = b"0123456789.eE+-, \t"
+
+
+def _float_row(line: bytes, row_index: int) -> list[float]:
+    """A row orjson cannot read, decoded as UTF-8, stripped and read cell by
+    cell with float(); empty for a row of Unicode blanks."""
+    text = line.decode("utf-8").strip()
+    if not text:
+        return []
+    values = []
+    for col_index, cell in enumerate(text.split(","), start=1):
+        try:
+            values.append(float(cell))
+        except ValueError:
+            raise ReturnsParseError(
+                f"non-numeric cell at row {row_index}, column {col_index}: {cell!r}"
+            ) from None
+    return values
 
 
 def save_returns(returns: ReturnSet, path: str) -> None:

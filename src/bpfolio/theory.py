@@ -2,7 +2,6 @@
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass
 from typing import Callable
 
@@ -62,17 +61,15 @@ def rs_closed_form_mv(alpha: float, beta: float) -> RsSolution:
 
     A finite alpha <= 1 returns the divergent-phase record (q and chi
     infinite) rather than raising: the divergence is the physical answer there.
-    Where alpha and beta take chi or delta out of the float range, or leave
-    q - 1 at 0, it raises ValueError rather than report a wrong record.
+    Where alpha and beta take chi or delta out of the float range, it raises
+    ValueError rather than report a wrong record.
     """
     q, chi = _mean_variance_q_chi(alpha, beta)
     if math.isinf(q):
         return RsSolution(q=q, chi=chi, eta=math.nan, delta=math.nan,
                           alpha=alpha, beta=beta, divergent=True)
-    # at extreme alpha or beta, alpha*chi^2 leaves the normal floats, q - 1
-    # rounds to 0 (alpha >= 2^53) or delta overflows: each would be wrong
-    scale = alpha * chi * chi
-    delta = (q - 1.0) / scale if scale >= sys.float_info.min else math.inf
+    # (q - 1)/(alpha*chi^2) in a form that does not cancel as alpha grows
+    delta = beta * beta * (alpha - 1.0) / alpha
     if not 0.0 < delta < math.inf:
         raise ValueError(f"alpha={alpha:g} and beta={beta:g} put the replica "
                          "order parameters beyond double precision")

@@ -5,6 +5,7 @@ import tempfile
 from unittest import mock
 
 import numpy as np
+import orjson
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -23,7 +24,6 @@ from bpfolio.model import (
     load_returns,
     save_returns,
 )
-from bpfolio.model import _scan_returns
 
 
 class TestReturnSet:
@@ -201,9 +201,11 @@ class TestReturnsCsv:
 
     def test_blank_lines_skipped(self, tmp_path):
         path = tmp_path / "returns.csv"
-        path.write_text("1,2\n\n3,4\n")
-        loaded = load_returns(str(path), 2)
-        assert np.array_equal(loaded.entries, [[1.0, 2.0], [3.0, 4.0]])
+        # a line of Unicode blanks is blank too
+        for text in ("1,2\n\n3,4\n", "1,2\n\u3000\x1c\n3,4\n"):
+            path.write_text(text, encoding="utf-8")
+            loaded = load_returns(str(path), 2)
+            assert np.array_equal(loaded.entries, [[1.0, 2.0], [3.0, 4.0]])
 
     @settings(max_examples=40, deadline=None, derandomize=True)
     # {:.17g} writes -0.0 as a bare -0, which orjson reads as the integer 0
@@ -217,31 +219,46 @@ class TestReturnsCsv:
             min_size=2, max_size=6),
         fmt=st.sampled_from(["{!r}", "{:.17g}", "{:.6e}", "{:.3f}", " {!r} "]),
         blank_after=st.integers(0, 6),
-        newline=st.sampled_from(["\n", "\r\n"]),
+        newline=st.sampled_from(["\n", "\r\n", "\r"]),
     )
-    def test_fast_path_matches_scan(self, values, fmt, blank_after, newline):
+    def test_orjson_rows_match_float(self, values, fmt, blank_after, newline):
         lines = [",".join(fmt.format(v) for v in row) for row in values]
+        expected = np.array([[float(cell) for cell in line.split(",")] for line in lines])
         lines.insert(blank_after, "")
+        read_rows = []
+
+        def counting_loads(data, loads=orjson.loads):
+            row = loads(data)
+            read_rows.append(row)
+            return row
+
         with tempfile.TemporaryDirectory() as folder:
             path = os.path.join(folder, "returns.csv")
             with open(path, "w", encoding="utf-8", newline="") as fh:
                 fh.write(newline.join(lines) + newline)
-            scanned = _scan_returns(path)
-            # with the scan disabled, the file has to load through the orjson rows
-            with mock.patch("bpfolio.model._scan_returns", side_effect=AssertionError):
+            with mock.patch.object(orjson, "loads", counting_loads):
                 loaded = load_returns(path, len(values)).entries
-        assert loaded.shape == scanned.shape == (len(values), 3)
-        assert np.array_equal(loaded.view(np.int64), scanned.view(np.int64))
+        # every row of these files loads through orjson, none through float()
+        assert len(read_rows) == len(values)
+        assert loaded.shape == expected.shape == (len(values), 3)
+        assert np.array_equal(loaded.view(np.int64), expected.view(np.int64))
 
-    def test_scan_reads_what_float_reads(self, tmp_path):
-        # none of these cells is a JSON number, so each file loads through the scan
+    def test_other_rows_read_what_float_reads(self, tmp_path):
+        # each file has rows that are not JSON numbers, so float() reads them
         path = tmp_path / "returns.csv"
-        path.write_text("1_0,2\n   \n3,4.5\n")
-        loaded = load_returns(str(path), 2)
-        assert np.array_equal(loaded.entries, [[10.0, 2.0], [3.0, 4.5]])
-        path.write_text(".5,1.\n+1,1_0\n-.25,01\n")
-        loaded = load_returns(str(path), 3)
-        assert np.array_equal(loaded.entries, [[0.5, 1.0], [1.0, 10.0], [-0.25, 1.0]])
+        for text, expected in [
+            ("1_0,2\n   \n3,4.5\n", [[10.0, 2.0], [3.0, 4.5]]),
+            (".5,1.\n+1,1_0\n-.25,01\n", [[0.5, 1.0], [1.0, 10.0], [-0.25, 1.0]]),
+            # orjson rows and float() rows in one file, bare -0 in both
+            ("-0,1\n.5,-0\n2.5e-1,0\n1_0,-0.0\n", [[-0.0, 1.0], [0.5, -0.0], [0.25, 0.0],
+                                                  [10.0, -0.0]]),
+            # Unicode blanks pad a row
+            ("\u30001,2\u3000\n\x1c3,4\x1c\n", [[1.0, 2.0], [3.0, 4.0]]),
+        ]:
+            path.write_text(text, encoding="utf-8")
+            expected = np.array(expected)
+            loaded = load_returns(str(path), len(expected)).entries
+            assert np.array_equal(loaded.view(np.int64), expected.view(np.int64))
 
     def test_overflowing_and_nan_cells_are_non_finite(self, tmp_path):
         path = tmp_path / "returns.csv"
@@ -282,6 +299,10 @@ class TestReturnsCsv:
             ("# header\n1,2\n3,4\n", "non-numeric cell at row 1, column 1: '# header'"),
             # a lone \r ends a line, so it cannot join ",3" onto the row before
             ("1,2\r,3\n4,5,6\n", "non-numeric cell at row 2, column 1: ''"),
+            # \r\r\n is two line ends: text mode reads a blank line 2
+            ("1,2\r\r\n3,x\n", "non-numeric cell at row 3, column 2: 'x'"),
+            # far past the first rows, and past the rows asked for
+            ("1,2\n" * 5000 + "3,x\n", "non-numeric cell at row 5001, column 2: 'x'"),
             # JSON values that are not numbers
             ("1,2\n3,true\n", "non-numeric cell at row 2, column 2: 'true'"),
             ("null,2\n3,4\n", "non-numeric cell at row 1, column 1: 'null'"),

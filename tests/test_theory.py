@@ -40,6 +40,12 @@ class TestClosedFormMv:
         assert s.chi == pytest.approx(-math.sqrt(s.q) / (s.alpha * s.eta), rel=1e-12)
         assert s.q == pytest.approx(1.0 + s.alpha * s.chi ** 2 * s.delta, rel=1e-12)
 
+    def test_delta_does_not_cancel_at_large_alpha(self):
+        # q - 1 keeps at most one digit here; beta^2*(alpha-1)/alpha loses none
+        for alpha in (1e15, 1e20):
+            assert rs_closed_form_mv(alpha, 1.0).delta == pytest.approx(1.0 - 1.0 / alpha,
+                                                                        rel=1e-15)
+
     def test_divergent_phase_is_an_answer(self):
         for alpha in (0.5, 1.0):
             solution = rs_closed_form_mv(alpha, 2.0)
