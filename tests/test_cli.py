@@ -55,6 +55,13 @@ class TestSolveCommand:
         assert code == 1
         assert capsys.readouterr().err == "bpfolio: error: need at least 2 assets, got 1\n"
 
+    def test_invalid_utf8_file_is_usage_error(self, capsys, tmp_path):
+        path = tmp_path / "returns.csv"
+        path.write_bytes(b"1,2\n\xff,3\n")
+        assert main(["solve", "--model", "mv", "--input", str(path), "--n", "2"]) == 1
+        assert capsys.readouterr().err.startswith(
+            "bpfolio: error: 'utf-8' codec can't decode byte 0xff")
+
     def test_no_input_source_is_usage_error(self, capsys):
         assert main(["solve", "--model", "mv"]) == 1
 
