@@ -19,7 +19,6 @@ from __future__ import annotations
 from typing import Callable
 
 import numpy as np
-from scipy.special import erfcx
 
 from .model import CostModel
 from .special import log_gaussian_tail, mills_excess
@@ -124,7 +123,10 @@ def channel_absolute_deviation(h, chi_tilde, beta):
     floating point: when both tail arguments are positive, A reduces to
     half the log-ratio of scaled complementary error functions, and the
     chi slope keeps only the mills-ratio excess over its argument.
+    scipy.special is imported here: no default solve calls this channel.
     """
+    from scipy.special import erfcx
+
     h = np.asarray(h, dtype=float)
     chi_tilde = np.asarray(chi_tilde, dtype=float)
     h, chi_tilde = np.broadcast_arrays(h, chi_tilde)

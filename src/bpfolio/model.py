@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import math
 import os
+import stat
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -18,7 +19,18 @@ class ReturnSet:
     entries: np.ndarray
 
     def __post_init__(self):
-        entries = np.array(self.entries, dtype=float)
+        # a copy, because the caller may write to its array later
+        self._adopt(np.array(self.entries, dtype=float))
+
+    @classmethod
+    def _take(cls, entries: np.ndarray) -> ReturnSet:
+        """A ReturnSet over a float array that nothing else holds, kept
+        without the copy __init__ makes; for the package's own loaders."""
+        returns = object.__new__(cls)
+        returns._adopt(entries)
+        return returns
+
+    def _adopt(self, entries: np.ndarray) -> None:
         if entries.ndim != 2:
             raise ValueError(f"returns must be a 2-d matrix, got ndim={entries.ndim}")
         n, p = entries.shape
@@ -150,7 +162,7 @@ def generate_returns(n_assets: int, n_periods: int, seed: int) -> ReturnSet:
     if n_periods < 1:
         raise ValueError(f"need at least 1 period, got {n_periods}")
     rng = np.random.default_rng(seed)
-    return ReturnSet(rng.standard_normal((n_assets, n_periods)))
+    return ReturnSet._take(rng.standard_normal((n_assets, n_periods)))
 
 
 class ReturnsParseError(ValueError):
@@ -163,9 +175,10 @@ def load_returns(path: str, n_assets: int, center: bool = False) -> ReturnSet:
     The file is read once, in binary, and split into lines where text mode
     splits them, so a lone carriage return ends a line too; blank lines are
     skipped. Each stripped row is read as the JSON array b"[" + row + b"]"
-    with orjson into a preallocated (n_assets, p) array. A row orjson cannot
-    read (a byte outside _NUMBER_BYTES, or a cell such as .5, 1., +1 or 01,
-    or one that overflows a double) is read cell by cell with float()
+    with orjson into an (n_assets, p) array, sized from the file's length
+    for a regular file and grown as rows arrive from a pipe. A row orjson
+    cannot read (a byte outside _NUMBER_BYTES, or a cell such as .5, 1., +1
+    or 01, or one that overflows a double) is read cell by cell with float()
     instead. Both give the bits float() gives for every cell, except that
     orjson returns a bare -0 as the integer 0, so zero cells are read again
     with float() to keep their sign. A malformed cell or a ragged row raises
@@ -177,7 +190,7 @@ def load_returns(path: str, n_assets: int, center: bool = False) -> ReturnSet:
     import orjson  # here, not at the top: `import bpfolio.cli` does not need it
 
     with open(path, "rb") as fh:
-        size = os.fstat(fh.fileno()).st_size
+        status = os.fstat(fh.fileno())
         entries = None
         rows = 0
         row_index = 0  # physical line number, blank lines included
@@ -202,15 +215,22 @@ def load_returns(path: str, n_assets: int, center: bool = False) -> ReturnSet:
                 if entries is None:
                     p = len(values)
                     # a row of p cells takes at least 2p - 1 bytes and a line
-                    # break, so a wrong n_assets cannot allocate past the file
-                    entries = np.empty((max(0, min(n_assets, (size + 1) // (2 * p))), p))
+                    # break, so a wrong n_assets cannot allocate past the file;
+                    # a pipe has no size, so its array grows as rows arrive
+                    cap = ((status.st_size + 1) // (2 * p) if stat.S_ISREG(status.st_mode)
+                           else _PIPE_ROWS)
+                    entries = np.empty((max(0, min(n_assets, cap)), p))
                 if len(values) != entries.shape[1]:
                     raise ReturnsParseError(
                         f"ragged row at row {row_index}: got {len(values)} columns, "
                         f"expected {entries.shape[1]}"
                     )
-                # rows past the allocation are still read, to locate a fault
-                # and to count them
+                if rows == len(entries) < n_assets:
+                    grown = np.empty((min(n_assets, 2 * rows), entries.shape[1]))
+                    grown[:rows] = entries
+                    entries = grown
+                # rows past n_assets are still read, to locate a fault and to
+                # count them
                 if rows < len(entries):
                     row = entries[rows]
                     row[:] = values
@@ -225,9 +245,12 @@ def load_returns(path: str, n_assets: int, center: bool = False) -> ReturnSet:
     if rows != n_assets:
         raise ReturnsParseError(f"expected {n_assets} asset rows, found {rows}")
     if center:
-        entries = entries - entries.mean(axis=1, keepdims=True)
-    return ReturnSet(entries)
+        entries -= entries.mean(axis=1, keepdims=True)
+    return ReturnSet._take(entries)
 
+
+# rows first allocated for input of unknown size, such as a pipe
+_PIPE_ROWS = 1024
 
 # bytes a row may hold once its ends are stripped: those of JSON numbers, the
 # comma, and blanks, which float() strips too. A row with any other byte is

@@ -3,13 +3,14 @@
 Everything here works in log domain or in cancellation-free rearrangements so
 that downstream channel formulas stay accurate when their arguments scale with
 beta * sqrt(chi_tilde), which can reach 1e8. Each kernel takes a scalar or an
-array and, by numpy's 0-d rule, returns a scalar for scalar input.
+array and, by numpy's 0-d rule, returns a scalar for scalar input. The
+scipy.special kernels are imported inside the functions that call them, so
+loading the package, and every solve that never calls them, skips the import.
 """
 from __future__ import annotations
 
 import numpy as np
 from numpy.polynomial.hermite_e import hermegauss
-from scipy.special import erfcx, log_ndtr
 
 _SQRT2 = np.sqrt(2.0)
 _SQRT_2_OVER_PI = np.sqrt(2.0 / np.pi)
@@ -28,11 +29,15 @@ def log_gaussian_tail(u):
     accuracy of the log value across the full double range, with no underflow
     of the quadratic decay for large u.
     """
+    from scipy.special import log_ndtr
+
     return log_ndtr(-np.asarray(u, dtype=float))
 
 
 def mills_ratio(u):
     """Inverse Mills ratio phi(u) / H(u); positive, ~ u + 1/u for large u."""
+    from scipy.special import erfcx
+
     u = np.asarray(u, dtype=float)
     out = np.empty_like(u)
     lo = u < _MILLS_PDF_CUTOFF

@@ -3,16 +3,18 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from statistics import NormalDist
 from typing import Callable
 
 import numpy as np
-from scipy.special import ndtr, ndtri
 
 from .channels import channel_for
 from .model import CostModel, Portfolio, RsSolution
 from .special import gauss_hermite_dz
 
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
+_SQRT2 = math.sqrt(2.0)
+_STANDARD_NORMAL = NormalDist()
 _LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
 _FIXED_POINT_DAMPING = 0.5
 _FIXED_POINT_CAP = 10_000
@@ -136,14 +138,16 @@ def rs_zero_temperature_ad(alpha: float) -> float:
     1/alpha, that is t = ndtri(1/2 + 1/(2*alpha)), and
     q = 1/(1 - alpha*E[clip(z, -t, t)^2]) = 1/(2*alpha*t*(phi(t) - t*Phibar(t)))
     for standard normal z. A finite alpha <= 1 gives inf, the divergent phase.
+    The standard library's inverse normal CDF and erfc stand in for scipy's
+    ndtri and ndtr, so a zero-temperature sweep does not import scipy.special.
     """
     if not math.isfinite(alpha):
         raise ValueError("alpha must be finite")
     if alpha <= 1.0:
         return math.inf
-    t = float(ndtri(0.5 + 0.5 / alpha))
+    t = _STANDARD_NORMAL.inv_cdf(0.5 + 0.5 / alpha)
     density = math.exp(-0.5 * t * t) / _SQRT_2PI
-    return 1.0 / (2.0 * alpha * t * (density - t * float(ndtr(-t))))
+    return 1.0 / (2.0 * alpha * t * (density - t * 0.5 * math.erfc(t / _SQRT2)))
 
 
 def mp_bulk_expectation(alpha: float, f: Callable[[float], float]) -> float:
@@ -207,7 +211,8 @@ def annealed_cost(model: str, alpha: float, s: float, gamma: float = None) -> fl
     mv: alpha*s^2/2; ad: 2*alpha*s/sqrt(2*pi); es: min over v >= 0 of
     alpha*(v*gamma + H(v/s)). Its slope alpha*(gamma - phi(v/s)/s) increases
     on v >= 0, so the minimizer is where the density meets gamma, in closed
-    form v* = s*sqrt(max(-2*log(gamma*s*sqrt(2*pi)), 0)).
+    form v* = s*sqrt(max(-2*log(gamma*s*sqrt(2*pi)), 0)). The es tail keeps
+    scipy's ndtr, imported here: math.erfc can move the printed last digit.
     """
     if not 0 < alpha < math.inf:
         raise ValueError("alpha must be positive and finite")
@@ -224,6 +229,8 @@ def annealed_cost(model: str, alpha: float, s: float, gamma: float = None) -> fl
             return 0.0  # limit: v -> 0 kills both terms
         # a sum of logs, because the product gamma*s can under- or overflow
         t_star = math.sqrt(max(-2.0 * (math.log(gamma) + math.log(s) + _LOG_SQRT_2PI), 0.0))
+        from scipy.special import ndtr
+
         return alpha * (s * t_star * gamma + float(ndtr(-t_star)))
     raise ValueError(f"unknown annealed cost model {model!r}")
 

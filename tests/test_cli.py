@@ -163,6 +163,19 @@ class TestSolveCommand:
         assert record_file["positions"] == record_rand["positions"]
         assert record_file["seed"] is None
 
+    def test_piped_input_matches_file_input(self, tmp_path):
+        from bpfolio.model import generate_returns, save_returns
+        path = tmp_path / "in.csv"
+        save_returns(generate_returns(30, 75, 11), str(path))
+        command = [sys.executable, "-m", "bpfolio.cli", "solve", "--model", "mv", "--n", "30"]
+        from_file = subprocess.run(command + ["--input", str(path)],
+                                   capture_output=True, check=True)
+        # a pipe reports size 0, which once sized the array to no rows
+        piped = subprocess.run(command + ["--input", "/dev/stdin"],
+                               input=path.read_bytes(), capture_output=True, check=True)
+        assert piped.stdout == from_file.stdout
+        assert json.loads(piped.stdout)["n_assets"] == 30
+
     def test_unknown_model_rejected_by_parser(self, capsys):
         assert main(["solve", "--model", "huber", "--random", "--n", "4", "--p", "8"]) == 1
         assert "invalid choice: 'huber'" in capsys.readouterr().err
@@ -384,14 +397,55 @@ class TestKyCommand:
 
 
 def test_import_leaves_integrate_and_optimize_unloaded():
-    # together about 0.25 s of start-up; only the theory and oracle calls need
-    # integrate and optimize, nothing in the package needs scipy.linalg, and
-    # only load_returns needs orjson
+    # scipy.special alone is about 0.3 s of a 0.5 s start-up, and integrate
+    # and optimize add more; only finite-temperature ad, the replica fixed
+    # point, the es annealed cost and the oracle calls need scipy, and only
+    # load_returns needs orjson
     probe = ("import sys, bpfolio.cli; print(*(name in sys.modules for name in "
-             "('scipy.integrate', 'scipy.optimize', 'scipy.linalg', 'orjson')))")
+             "('scipy.integrate', 'scipy.optimize', 'scipy.linalg', 'orjson', "
+             "'scipy.special')), any(name.split('.')[0] == 'scipy' for name in sys.modules))")
     done = subprocess.run([sys.executable, "-c", probe], capture_output=True,
                           text=True, check=True)
-    assert done.stdout.strip() == "False False False False"
+    assert done.stdout.strip() == "False False False False False False"
+
+
+# runs cli.main on each argv of a JSON list in one fresh interpreter, then
+# prints the exit codes and whether scipy.special was loaded
+SOLVES_THEN_PROBE = """
+import contextlib, io, json, sys
+from bpfolio import cli
+codes = []
+for argv in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        codes.append(cli.main(argv))
+print(json.dumps({"codes": codes, "special": "scipy.special" in sys.modules}))
+"""
+
+
+def solves_then_probe(argvs):
+    done = subprocess.run([sys.executable, "-c", SOLVES_THEN_PROBE, json.dumps(argvs)],
+                          capture_output=True, text=True, check=True)
+    return json.loads(done.stdout)
+
+
+def test_default_solves_leave_scipy_special_unloaded():
+    # the benchmark's worker imports the package before its timed rounds, so
+    # a default solve that loaded scipy.special would pay its import inside them
+    result = solves_then_probe([
+        ["solve", "--model", "mv", "--random", "--n", "20", "--p", "40"],
+        ["solve", "--model", "ad", "--random", "--n", "20", "--p", "40"],
+        ["sweep", "--model", "ad", "--alphas", "1.5,2", "--n", "20", "--trials", "2"],
+        ["solve", "--model", "generic", "--cost-expr", "u**2/2", "--random",
+         "--n", "4", "--p", "16"],
+    ])
+    assert result == {"codes": [0, 0, 0, 0], "special": False}
+
+
+def test_finite_temperature_ad_solve_loads_scipy_special():
+    result = solves_then_probe([
+        ["solve", "--model", "ad", "--random", "--n", "20", "--p", "40", "--beta", "16"],
+    ])
+    assert result == {"codes": [0], "special": True}
 
 
 # perfbench/tracer.py wraps the package's functions by name; this runs it in a

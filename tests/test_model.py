@@ -10,6 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from bpfolio import model
 from bpfolio.engine import BETA_RAMP_FACTOR, beta_ladder
 from bpfolio.model import (
     ABSOLUTE_DEVIATION,
@@ -60,6 +61,16 @@ class TestReturnSet:
         rs = ReturnSet(raw)
         raw[0, 0] = 99.0
         assert rs.entries[0, 0] == 1.0
+
+    def test_loaded_and_generated_entries_read_only(self, tmp_path):
+        # the loaders hand their arrays over uncopied, and they are locked too
+        rs = generate_returns(3, 4, 0)
+        path = tmp_path / "returns.csv"
+        save_returns(rs, str(path))
+        for held in (rs, load_returns(str(path), 3), load_returns(str(path), 3, center=True)):
+            assert not held.entries.flags.writeable
+            with pytest.raises(ValueError):
+                held.entries[0, 0] = 7.0
 
 
 class TestGenerateReturns:
@@ -344,6 +355,30 @@ class TestReturnsCsv:
             with pytest.raises(ReturnsParseError) as caught:
                 load_returns(str(path), n_assets)
             assert str(caught.value) == f"expected {n_assets} asset rows, found 4"
+
+    @pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd")
+    @pytest.mark.parametrize("first_rows", [1, 1024])
+    def test_pipe_input_grows_its_array(self, tmp_path, monkeypatch, first_rows):
+        # a pipe reports size 0, so its array starts at _PIPE_ROWS rows and grows
+        monkeypatch.setattr(model, "_PIPE_ROWS", first_rows)
+        rs = generate_returns(7, 5, 2)
+        path = tmp_path / "returns.csv"
+        save_returns(rs, str(path))
+
+        def load_from_pipe(n_assets):
+            read_end, write_end = os.pipe()
+            os.write(write_end, path.read_bytes())  # well inside the pipe buffer
+            os.close(write_end)
+            try:
+                return load_returns(f"/dev/fd/{read_end}", n_assets)
+            finally:
+                os.close(read_end)
+
+        assert np.array_equal(load_from_pipe(7).entries, rs.entries)
+        for n_assets in (6, 8, 10 ** 15):
+            with pytest.raises(ReturnsParseError,
+                               match=f"expected {n_assets} asset rows, found 7"):
+                load_from_pipe(n_assets)
 
     def test_center_subtracts_row_means(self, tmp_path):
         rs = generate_returns(4, 50, 9)

@@ -125,6 +125,15 @@ class TestZeroTemperatureAd:
         reference = zero_temperature_overlap_by_root(alpha)
         assert rs_zero_temperature_ad(alpha) == pytest.approx(reference, rel=1e-12)
 
+    def test_stdlib_closed_form_matches_scipy_on_a_dense_grid(self):
+        # the package computes t and Phibar(t) with statistics and math; here
+        # the same closed form runs on scipy's ndtri and ndtr
+        for alpha in np.geomspace(1.0001, 1e6, 2000):
+            t = float(scipy.special.ndtri(0.5 + 0.5 / alpha))
+            density = math.exp(-0.5 * t * t) / math.sqrt(2.0 * math.pi)
+            reference = 1.0 / (2.0 * alpha * t * (density - t * float(scipy.special.ndtr(-t))))
+            assert rs_zero_temperature_ad(alpha) == pytest.approx(reference, rel=1e-12), alpha
+
     def test_alpha_two_value(self):
         assert rs_zero_temperature_ad(2.0) == pytest.approx(2.485017, abs=5e-7)
 
