@@ -170,7 +170,7 @@ class TestSolveCommand:
         command = [sys.executable, "-m", "bpfolio.cli", "solve", "--model", "mv", "--n", "30"]
         from_file = subprocess.run(command + ["--input", str(path)],
                                    capture_output=True, check=True)
-        # a pipe reports size 0, which once sized the array to no rows
+        # a pipe reports size 0, so the loader cannot size its array from it
         piped = subprocess.run(command + ["--input", "/dev/stdin"],
                                input=path.read_bytes(), capture_output=True, check=True)
         assert piped.stdout == from_file.stdout
@@ -397,8 +397,8 @@ class TestKyCommand:
 
 
 def test_import_leaves_integrate_and_optimize_unloaded():
-    # scipy.special alone is about 0.3 s of a 0.5 s start-up, and integrate
-    # and optimize add more; only finite-temperature ad, the replica fixed
+    # scipy.special alone would add about 0.3 s to a 0.2 s start-up, and
+    # integrate and optimize more; only finite-temperature ad, the replica fixed
     # point, the es annealed cost and the oracle calls need scipy, and only
     # load_returns needs orjson
     probe = ("import sys, bpfolio.cli; print(*(name in sys.modules for name in "
