@@ -45,16 +45,20 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _seed(args) -> int:
-    """--seed, else the default seed; the environment variable overrides only the default."""
-    if args.seed is not None:
-        return args.seed
-    raw = os.environ.get(_SEED_ENV_VAR)
-    if raw is None:
-        return _DEFAULT_SEED
-    try:
-        return int(raw)
-    except ValueError:
-        raise ReturnsParseError(f"{_SEED_ENV_VAR} must be an integer, got {raw!r}")
+    """--seed, else the default seed; the environment variable overrides only the default.
+    numpy's generator takes no negative seed, so either source must be non-negative."""
+    seed, source = args.seed, "--seed"
+    if seed is None:
+        raw, source = os.environ.get(_SEED_ENV_VAR), _SEED_ENV_VAR
+        if raw is None:
+            return _DEFAULT_SEED
+        try:
+            seed = int(raw)
+        except ValueError:
+            raise ReturnsParseError(f"{_SEED_ENV_VAR} must be an integer, got {raw!r}")
+    if seed < 0:
+        raise ReturnsParseError(f"{source} must be a non-negative integer, got {seed}")
+    return seed
 
 
 def _jsonable(value):

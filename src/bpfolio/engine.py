@@ -35,11 +35,6 @@ ZERO_TEMPERATURE_BURN_SWEEPS = 250
 DIVERGENCE_THRESHOLD = 1e6
 
 
-class DivergenceDetected(RuntimeError):
-    """A sweep produced non-finite means or a nonpositive cavity variance
-    (alpha <= 1 phase or blow-up)."""
-
-
 def default_config(model: CostModel, beta: float = None) -> BpConfig:
     """Solver defaults: single-beta run for smooth costs, a longer budget for |u|.
 
@@ -167,10 +162,7 @@ def period_sweep(returns: ReturnSet, variances, channel, m_w: np.ndarray,
     chi_tilde_u = variances.to_periods(chi_w)
     h_u = returns.entries.T @ m_w / np.sqrt(returns.n_assets) - chi_tilde_u * m_u
     m_channel, chi_u = channel(h_u, chi_tilde_u, beta)
-    m_u = (1.0 - damping) * m_channel + damping * m_u
-    if not np.all(np.isfinite(m_u)):
-        raise DivergenceDetected("non-finite period means")
-    return m_u, chi_u
+    return (1.0 - damping) * m_channel + damping * m_u, chi_u
 
 
 def asset_sweep(returns: ReturnSet, variances, m_w: np.ndarray, m_u: np.ndarray,
@@ -185,21 +177,18 @@ def asset_sweep(returns: ReturnSet, variances, m_w: np.ndarray, m_u: np.ndarray,
     because the mean update is linear in it, and the undamped means
     chi_w * (h_w + m_tilde) then satisfy sum m_w = N exactly.
     The returned m_w is always a new array, never the m_w passed in.
+    A vanishing cavity variance (the alpha <= 1 phase or a blow-up) gives
+    chi_w = inf and non-finite means, without a warning; _iterate reads them
+    as divergence.
     """
     n = returns.n_assets
     chi_tilde_w = variances.to_assets(chi_u)
-    if not np.all(np.isfinite(chi_tilde_w)) or np.any(chi_tilde_w <= 0.0):
-        raise DivergenceDetected(
-            "nonpositive asset-side cavity variance (alpha <= 1 regime or blow-up)"
-        )
     h_w = returns.entries @ m_u / np.sqrt(n) + chi_tilde_w * m_w
-    chi_w = 1.0 / chi_tilde_w
-    m_tilde = (n - chi_w @ h_w) / chi_w.sum()
+    with np.errstate(divide="ignore", invalid="ignore"):
+        chi_w = 1.0 / chi_tilde_w
+        m_tilde = (n - chi_w @ h_w) / chi_w.sum()
     m_target = chi_w * (h_w + m_tilde)
-    m_w = (1.0 - damping) * m_target + damping * m_w
-    if not np.all(np.isfinite(m_w)):
-        raise DivergenceDetected("non-finite asset means")
-    return m_w, chi_w
+    return (1.0 - damping) * m_target + damping * m_w, chi_w
 
 
 def observables(portfolio: Portfolio, returns: ReturnSet, model: CostModel):
@@ -220,9 +209,8 @@ def solve(returns: ReturnSet, model: CostModel, config: BpConfig = None):
     the final entry holds until convergence or the sweep budget runs out, and
     is the beta the result is reported at. Convergence: max_k |dm_wk| /
     max(1, |m_wk|) < tol, tested once the ladder has been climbed. Divergence
-    (q_hat above DIVERGENCE_THRESHOLD, nonpositive cavity variances, or
-    non-finite values) marks the run instead of raising; the partial state is
-    returned.
+    (a sweep pair with a non-finite m_w or chi_w, or q_hat not finite or above
+    DIVERGENCE_THRESHOLD) ends the run and marks it instead of raising.
 
     A zero-temperature solve (see zero_temperature) first runs the max-sum
     `ad` channel in place of channel_for(model), at config.beta from the first
@@ -235,12 +223,13 @@ def solve(returns: ReturnSet, model: CostModel, config: BpConfig = None):
     at least AD_MAX_SWEEPS, and reports that run.
 
     Reported portfolio: the final m_w when the run converges (an exact fixed
-    point) or diverges (partial state, flagged). An `ad` run above beta 1 that
-    ends the hold phase still above tol reports the burn-in-discarded time
-    average of m_w over that phase instead: near the top beta the fixed point
-    loses local stability and the iterate circles it, so the instantaneous
-    m_w sits on the cycle while the average sits at its center. Every damped
-    iterate satisfies the budget exactly, hence so does the average.
+    point) or diverges (partial state, flagged: the last finite iterate). An
+    `ad` run above beta 1 that ends the hold phase still above tol reports the
+    burn-in-discarded time average of m_w over that phase instead: near the
+    top beta the fixed point loses local stability and the iterate circles it,
+    so the instantaneous m_w sits on the cycle while the average sits at its
+    center. Every damped iterate satisfies the budget exactly, hence so does
+    the average.
     """
     if config is None:
         config = default_config(model)
@@ -258,7 +247,10 @@ def solve(returns: ReturnSet, model: CostModel, config: BpConfig = None):
 def _iterate(returns: ReturnSet, model: CostModel, config: BpConfig, max_sum: bool):
     """One run of solve: with max_sum, the max-sum `ad` channel held at
     config.beta and a projection onto the budget after every sweep, else
-    channel_for(model) along beta_ladder."""
+    channel_for(model) along beta_ladder. The sweeps only compute; each
+    pair is judged here, once. A pair with a non-finite m_w or chi_w entry is
+    discarded: the run ends diverged, keeping the previous iterate and delta,
+    and the pair is not counted."""
     variances = cavity_variances(returns)
     n = returns.n_assets
     # budget-feasible uniform start; period_sweep sets chi_u before it is read
@@ -278,35 +270,35 @@ def _iterate(returns: ReturnSet, model: CostModel, config: BpConfig, max_sum: bo
     total = 0
     avg_accum = np.zeros(n)
     avg_count = 0
-    try:
-        while total < config.max_sweeps:
-            beta = ladder[min(total, ramp_sweeps)]
-            # asset_sweep returns a new m_w, so previous keeps the old iterate
-            # and the projection below may add to m_w in place
-            previous = m_w
-            m_u, chi_u = period_sweep(returns, variances, channel, m_w, chi_w, m_u,
-                                      beta, config.damping)
-            m_w, chi_w = asset_sweep(returns, variances, m_w, m_u, chi_u, config.damping)
-            if max_sum:
-                # the max-sum variances have no scale of their own: on small
-                # instances chi_w drifts to 1e9 and beyond, where the budget
-                # closure keeps only a few digits, so re-impose sum m_w = N
-                m_w += (n - m_w.sum()) / n
-            total += 1
-            delta = float(np.max(np.abs(m_w - previous) / np.maximum(1.0, np.abs(m_w))))
-            q_hat = float(m_w @ m_w) / n
-            if not np.isfinite(q_hat) or q_hat > DIVERGENCE_THRESHOLD:
-                diverged = True
+    while total < config.max_sweeps:
+        beta = ladder[min(total, ramp_sweeps)]
+        m_u, chi_u = period_sweep(returns, variances, channel, m_w, chi_w, m_u,
+                                  beta, config.damping)
+        swept, chi_w = asset_sweep(returns, variances, m_w, m_u, chi_u, config.damping)
+        if not (np.isfinite(swept).all() and np.isfinite(chi_w).all()):
+            diverged = True
+            break
+        # swept is a new array, so previous keeps the old iterate and the
+        # projection below may add to m_w in place
+        previous, m_w = m_w, swept
+        if max_sum:
+            # the max-sum variances have no scale of their own: on small
+            # instances chi_w drifts to 1e9 and beyond, where the budget
+            # closure keeps only a few digits, so re-impose sum m_w = N
+            m_w += (n - m_w.sum()) / n
+        total += 1
+        delta = float(np.max(np.abs(m_w - previous) / np.maximum(1.0, np.abs(m_w))))
+        q_hat = float(m_w @ m_w) / n
+        if not np.isfinite(q_hat) or q_hat > DIVERGENCE_THRESHOLD:
+            diverged = True
+            break
+        if total > ramp_sweeps:
+            if delta < config.tol:
+                converged = True
                 break
-            if total > ramp_sweeps:
-                if delta < config.tol:
-                    converged = True
-                    break
-                if burn_in is not None and total - ramp_sweeps > burn_in:
-                    avg_accum += m_w
-                    avg_count += 1
-    except DivergenceDetected:
-        diverged = True
+            if burn_in is not None and total - ramp_sweeps > burn_in:
+                avg_accum += m_w
+                avg_count += 1
 
     if converged or diverged or avg_count == 0:
         positions = m_w

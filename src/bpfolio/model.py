@@ -4,8 +4,6 @@ not among them: engine's solve loop holds it as local arrays."""
 from __future__ import annotations
 
 import math
-import os
-import stat
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -175,8 +173,8 @@ def load_returns(path: str, n_assets: int, center: bool = False) -> ReturnSet:
     The file is read once, in binary, and split into lines where text mode
     splits them, so a lone carriage return ends a line too; blank lines are
     skipped. Each stripped row is read as the JSON array b"[" + row + b"]"
-    with orjson into an (n_assets, p) array, sized from the file's length
-    for a regular file and grown as rows arrive from a pipe. A row orjson
+    with orjson into an array of min(n_assets, _FIRST_ROWS) rows that doubles
+    as rows arrive, up to n_assets, for a file and a pipe alike. A row orjson
     cannot read (a byte outside _NUMBER_BYTES, or a cell such as .5, 1., +1
     or 01, or one that overflows a double) is read cell by cell with float()
     instead. Both give the bits float() gives for every cell, except that
@@ -190,7 +188,6 @@ def load_returns(path: str, n_assets: int, center: bool = False) -> ReturnSet:
     import orjson  # here, not at the top: `import bpfolio.cli` does not need it
 
     with open(path, "rb") as fh:
-        status = os.fstat(fh.fileno())
         entries = None
         rows = 0
         row_index = 0  # physical line number, blank lines included
@@ -213,32 +210,30 @@ def load_returns(path: str, n_assets: int, center: bool = False) -> ReturnSet:
                     if not values:
                         continue
                 if entries is None:
-                    p = len(values)
-                    # a row of p cells takes at least 2p - 1 bytes and a line
-                    # break, so a wrong n_assets cannot allocate past the file;
-                    # a pipe has no size, so its array grows as rows arrive
-                    cap = ((status.st_size + 1) // (2 * p) if stat.S_ISREG(status.st_mode)
-                           else _PIPE_ROWS)
-                    entries = np.empty((max(0, min(n_assets, cap)), p))
+                    # doubled as rows arrive, so a too-large n_assets costs
+                    # at most twice the rows the input holds, or _FIRST_ROWS
+                    entries = np.empty((max(0, min(n_assets, _FIRST_ROWS)), len(values)))
                 if len(values) != entries.shape[1]:
                     raise ReturnsParseError(
                         f"ragged row at row {row_index}: got {len(values)} columns, "
                         f"expected {entries.shape[1]}"
                     )
                 if rows == len(entries) < n_assets:
-                    grown = np.empty((min(n_assets, 2 * rows), entries.shape[1]))
-                    grown[:rows] = entries
-                    entries = grown
+                    # in place, by realloc: a copy would free the old block,
+                    # which glibc keeps resident once it falls below the mmap
+                    # threshold that freeing it raised, so a second solve of a
+                    # 2000 x 4000 file in one process peaked at 124 MB, not
+                    # 100 MB. No view of entries outlives its statement.
+                    entries.resize((min(n_assets, 2 * rows), entries.shape[1]), refcheck=False)
                 # rows past n_assets are still read, to locate a fault and to
                 # count them
                 if rows < len(entries):
-                    row = entries[rows]
-                    row[:] = values
+                    entries[rows] = values
                     if from_json:
-                        zeros = np.flatnonzero(row == 0.0)
+                        zeros = np.flatnonzero(entries[rows] == 0.0)
                         if zeros.size:
                             cells = line.split(b",")
-                            row[zeros] = [float(cells[j]) for j in zeros]
+                            entries[rows, zeros] = [float(cells[j]) for j in zeros]
                 rows += 1
     if entries is None:
         raise ReturnsParseError(f"no rows in {path}")
@@ -249,8 +244,8 @@ def load_returns(path: str, n_assets: int, center: bool = False) -> ReturnSet:
     return ReturnSet._take(entries)
 
 
-# rows first allocated for input of unknown size, such as a pipe
-_PIPE_ROWS = 1024
+# rows first allocated for any input, file or pipe
+_FIRST_ROWS = 1024
 
 # bytes a row may hold once its ends are stripped: those of JSON numbers, the
 # comma, and blanks, which float() strips too. A row with any other byte is

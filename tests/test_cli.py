@@ -509,6 +509,22 @@ class TestSeedEnvironment:
         code = main(["solve", "--model", "mv", "--random", "--n", "10", "--p", "30"])
         assert code == 1
 
+    @pytest.mark.parametrize("argv", [
+        ["solve", "--model", "mv", "--random", "--n", "10", "--p", "30"],
+        ["sweep", "--model", "mv", "--alphas", "2", "--n", "10", "--trials", "2"],
+        ["ky", "--n", "10", "--p", "20", "--trials", "2"],
+    ])
+    def test_negative_seed_is_usage_error_naming_its_source(self, capsys, monkeypatch, argv):
+        assert main(argv + ["--seed", "-1"]) == 1
+        assert capsys.readouterr().err == (
+            "bpfolio: error: --seed must be a non-negative integer, got -1\n")
+        monkeypatch.setenv("BPFOLIO_SEED", "-2")
+        assert main(argv) == 1
+        assert capsys.readouterr().err == (
+            "bpfolio: error: BPFOLIO_SEED must be a non-negative integer, got -2\n")
+        # the variable stands in only for a missing --seed
+        assert main(argv + ["--seed", "0"]) == 0
+
 
 class TestOutputFiles:
     def test_out_file_matches_stdout(self, capsys, tmp_path):

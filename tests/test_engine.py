@@ -1,4 +1,6 @@
 """Tests for the message-passing engine: sweep algebra, solve behavior, invariants."""
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,7 +11,6 @@ from bpfolio.engine import (
     AD_BETA_TOP,
     AD_MAX_SWEEPS,
     EDGE_VARIANCE_MAX_ASSETS,
-    DivergenceDetected,
     EdgeVariances,
     ZERO_TEMPERATURE_MAX_SWEEPS,
     RankOneVariances,
@@ -193,10 +194,15 @@ class TestAssetSweep:
             m_w, chi_w = asset_sweep(rs, variances, m_w, m_u, chi_u, 0.5)
             assert abs(m_w.sum() - 20.0) <= 1e-9 * 20.0
 
-    def test_vanishing_cavity_variance_raises(self):
+    def test_vanishing_cavity_variance_gives_non_finite_means_quietly(self):
+        # the sweep only computes: _iterate reads the non-finite means as
+        # divergence, and no warning reaches stderr on the way
         m_w, _, m_u, chi_u = make_state(2, 2, chi_u=[0.0, 0.0])
-        with pytest.raises(DivergenceDetected, match="cavity variance"):
-            asset_sweep(DIAGONAL_2X2, CLOSURE_2X2, m_w, m_u, chi_u, 0.5)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            m_w, chi_w = asset_sweep(DIAGONAL_2X2, CLOSURE_2X2, m_w, m_u, chi_u, 0.5)
+        assert not np.all(np.isfinite(m_w))
+        assert not np.all(np.isfinite(chi_w))
 
 
 class TestVarianceClosure:
@@ -441,3 +447,20 @@ class TestSolveDiagnostics:
         _, diag = solve(rs, MEAN_VARIANCE, config)
         assert diag.sweeps_used == 3
         assert not diag.converged
+
+    def test_diverged_runs_report_finite_feasible_positions(self):
+        # a diverged run reports its last finite iterate, on which the budget
+        # closure (and, for the clip, the projection) holds sum m_w = N
+        config = default_config(ABSOLUTE_DEVIATION)
+        runs = [_iterate(ReturnSet(x), ABSOLUTE_DEVIATION, config, max_sum=True)
+                for x in few_asset_draws()]
+        runs = [(port, diag) for port, diag in runs if diag.diverged]
+        assert runs
+        for model, shape in [(ABSOLUTE_DEVIATION, (100, 50, 0)),
+                             (ABSOLUTE_DEVIATION, (100, 90, 0)),
+                             (MEAN_VARIANCE, (100, 50, 7)), (MEAN_VARIANCE, (20, 10, 5))]:
+            runs.append(solve(generate_returns(*shape), model))
+        for port, diag in runs:
+            assert diag.diverged
+            assert np.all(np.isfinite(port.positions))
+            assert abs(port.budget_gap()) <= 1e-9 * port.n_assets

@@ -359,8 +359,8 @@ class TestReturnsCsv:
     @pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd")
     @pytest.mark.parametrize("first_rows", [1, 1024])
     def test_pipe_input_grows_its_array(self, tmp_path, monkeypatch, first_rows):
-        # a pipe reports size 0, so its array starts at _PIPE_ROWS rows and grows
-        monkeypatch.setattr(model, "_PIPE_ROWS", first_rows)
+        # the array starts at _FIRST_ROWS rows and doubles as rows arrive
+        monkeypatch.setattr(model, "_FIRST_ROWS", first_rows)
         rs = generate_returns(7, 5, 2)
         path = tmp_path / "returns.csv"
         save_returns(rs, str(path))
