@@ -31,7 +31,8 @@ ZERO_TEMPERATURE_MAX_SWEEPS = 1500
 AVG_BURN_SWEEPS = 1000
 ZERO_TEMPERATURE_BURN_SWEEPS = 250
 
-# q_hat beyond this flags the divergent phase (alpha <= 1 or blow-up)
+# a sweep pair whose overlap swept @ swept / N is not at most this (NaN, or
+# above it) is discarded and ends the run diverged (alpha <= 1 or blow-up)
 DIVERGENCE_THRESHOLD = 1e6
 
 
@@ -178,8 +179,8 @@ def asset_sweep(returns: ReturnSet, variances, m_w: np.ndarray, m_u: np.ndarray,
     chi_w * (h_w + m_tilde) then satisfy sum m_w = N exactly.
     The returned m_w is always a new array, never the m_w passed in.
     A vanishing cavity variance (the alpha <= 1 phase or a blow-up) gives
-    chi_w = inf and non-finite means, without a warning; _iterate reads them
-    as divergence.
+    chi_w = inf, hence m_tilde = NaN and an all-NaN m_w, without a warning;
+    _iterate reads its NaN overlap as divergence.
     """
     n = returns.n_assets
     chi_tilde_w = variances.to_assets(chi_u)
@@ -209,8 +210,8 @@ def solve(returns: ReturnSet, model: CostModel, config: BpConfig = None):
     the final entry holds until convergence or the sweep budget runs out, and
     is the beta the result is reported at. Convergence: max_k |dm_wk| /
     max(1, |m_wk|) < tol, tested once the ladder has been climbed. Divergence
-    (a sweep pair with a non-finite m_w or chi_w, or q_hat not finite or above
-    DIVERGENCE_THRESHOLD) ends the run and marks it instead of raising.
+    (a sweep pair whose overlap is not at most DIVERGENCE_THRESHOLD, see
+    _iterate) ends the run and marks it instead of raising.
 
     A zero-temperature solve (see zero_temperature) first runs the max-sum
     `ad` channel in place of channel_for(model), at config.beta from the first
@@ -223,13 +224,13 @@ def solve(returns: ReturnSet, model: CostModel, config: BpConfig = None):
     at least AD_MAX_SWEEPS, and reports that run.
 
     Reported portfolio: the final m_w when the run converges (an exact fixed
-    point) or diverges (partial state, flagged: the last finite iterate). An
-    `ad` run above beta 1 that ends the hold phase still above tol reports the
-    burn-in-discarded time average of m_w over that phase instead: near the
-    top beta the fixed point loses local stability and the iterate circles it,
-    so the instantaneous m_w sits on the cycle while the average sits at its
-    center. Every damped iterate satisfies the budget exactly, hence so does
-    the average.
+    point) or diverges (partial state, flagged: the last kept iterate, whose
+    overlap is within DIVERGENCE_THRESHOLD). An `ad` run above beta 1 that
+    ends the hold phase still above tol reports the burn-in-discarded time
+    average of m_w over that phase instead: near the top beta the fixed point
+    loses local stability and the iterate circles it, so the instantaneous
+    m_w sits on the cycle while the average sits at its center. Every damped
+    iterate satisfies the budget exactly, hence so does the average.
     """
     if config is None:
         config = default_config(model)
@@ -247,10 +248,11 @@ def solve(returns: ReturnSet, model: CostModel, config: BpConfig = None):
 def _iterate(returns: ReturnSet, model: CostModel, config: BpConfig, max_sum: bool):
     """One run of solve: with max_sum, the max-sum `ad` channel held at
     config.beta and a projection onto the budget after every sweep, else
-    channel_for(model) along beta_ladder. The sweeps only compute; each
-    pair is judged here, once. A pair with a non-finite m_w or chi_w entry is
-    discarded: the run ends diverged, keeping the previous iterate and delta,
-    and the pair is not counted."""
+    channel_for(model) along beta_ladder. The sweeps only compute; each pair
+    is judged here once, before the projection: unless its overlap is at most
+    DIVERGENCE_THRESHOLD (NaN when chi_w is not finite, see asset_sweep), it
+    is discarded, uncounted, and the run ends diverged with the last kept
+    iterate and delta."""
     variances = cavity_variances(returns)
     n = returns.n_assets
     # budget-feasible uniform start; period_sweep sets chi_u before it is read
@@ -275,23 +277,17 @@ def _iterate(returns: ReturnSet, model: CostModel, config: BpConfig, max_sum: bo
         m_u, chi_u = period_sweep(returns, variances, channel, m_w, chi_w, m_u,
                                   beta, config.damping)
         swept, chi_w = asset_sweep(returns, variances, m_w, m_u, chi_u, config.damping)
-        if not (np.isfinite(swept).all() and np.isfinite(chi_w).all()):
+        if not float(swept @ swept) / n <= DIVERGENCE_THRESHOLD:  # NaN fails too
             diverged = True
             break
-        # swept is a new array, so previous keeps the old iterate and the
-        # projection below may add to m_w in place
-        previous, m_w = m_w, swept
         if max_sum:
             # the max-sum variances have no scale of their own: on small
             # instances chi_w drifts to 1e9 and beyond, where the budget
             # closure keeps only a few digits, so re-impose sum m_w = N
-            m_w += (n - m_w.sum()) / n
+            swept += (n - swept.sum()) / n
         total += 1
-        delta = float(np.max(np.abs(m_w - previous) / np.maximum(1.0, np.abs(m_w))))
-        q_hat = float(m_w @ m_w) / n
-        if not np.isfinite(q_hat) or q_hat > DIVERGENCE_THRESHOLD:
-            diverged = True
-            break
+        delta = float(np.max(np.abs(swept - m_w) / np.maximum(1.0, np.abs(swept))))
+        m_w = swept
         if total > ramp_sweeps:
             if delta < config.tol:
                 converged = True
@@ -305,8 +301,7 @@ def _iterate(returns: ReturnSet, model: CostModel, config: BpConfig, max_sum: bo
     else:
         positions = avg_accum / avg_count
     portfolio = Portfolio(positions=positions)
-    with np.errstate(all="ignore"):
-        q_hat, eps_hat = observables(portfolio, returns, model)
+    q_hat, eps_hat = observables(portfolio, returns, model)
     diagnostics = Diagnostics(
         q_hat=q_hat,
         eps_hat=eps_hat,

@@ -95,7 +95,7 @@ class CostModel:
             return 0.5 * u * u
         if self.kind == "ad":
             return np.abs(u)
-        return np.asarray(self.cost(u), dtype=float)
+        return np.broadcast_to(np.asarray(self.cost(u), dtype=float), u.shape)
 
 
 MEAN_VARIANCE = CostModel(kind="mv")
@@ -179,9 +179,9 @@ def load_returns(path: str, n_assets: int, center: bool = False) -> ReturnSet:
     or 01, or one that overflows a double) is read cell by cell with float()
     instead. Both give the bits float() gives for every cell, except that
     orjson returns a bare -0 as the integer 0, so zero cells are read again
-    with float() to keep their sign. A malformed cell or a ragged row raises
-    ReturnsParseError with its physical line number, and so does a file
-    with no rows or with a row count other than n_assets.
+    with float() to keep their sign. A malformed or non-finite cell or a
+    ragged row raises ReturnsParseError with its physical line number, and so
+    does a file with no rows or with a row count other than n_assets.
     center=True subtracts per-asset sample means; off by default so file and
     synthetic inputs go through identical arithmetic.
     """
@@ -268,6 +268,10 @@ def _float_row(line: bytes, row_index: int) -> list[float]:
             raise ReturnsParseError(
                 f"non-numeric cell at row {row_index}, column {col_index}: {cell!r}"
             ) from None
+        # only here can a cell read as nan or inf: orjson rejects them
+        if not math.isfinite(values[-1]):
+            raise ReturnsParseError(
+                f"non-finite cell at row {row_index}, column {col_index}: {cell!r}")
     return values
 
 

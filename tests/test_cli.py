@@ -474,7 +474,9 @@ print(json.dumps({"code": code, "record": json.loads(out.getvalue()),
     ["solve", "--model", "mv", "--random", "--n", "20", "--p", "40"],
     ["solve", "--model", "generic", "--cost-expr", "u**2/2", "--random",
      "--n", "2", "--p", "16", "--max-sweeps", "20"],
-], ids=["ad", "mv", "generic"])
+    # the finite-temperature `ad` channel, the one caller of the special kernels
+    ["solve", "--model", "ad", "--random", "--n", "20", "--p", "40", "--beta", "16"],
+], ids=["ad", "mv", "generic", "ad-beta"])
 def test_benchmark_tracer_sees_every_layer(argv):
     root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
     paths = [os.path.join(root, "src"), os.path.join(root, "perfbench")]
@@ -487,6 +489,8 @@ def test_benchmark_tracer_sees_every_layer(argv):
     assert result["layers"]["cli.self_s"] > 0
     if "generic" in argv:
         assert result["layers"]["channels.cost_calls_per_element"] > 0
+    if "--beta" in argv:
+        assert result["layers"]["special.calls_per_sweep"] > 0
 
 
 class TestSeedEnvironment:
@@ -551,3 +555,19 @@ class TestOutputFiles:
         main(argv + ["--out", str(first)])
         main(argv + ["--out", str(second)])
         assert first.read_bytes() == second.read_bytes()
+
+    def test_missing_input_is_io_error(self, capsys, tmp_path):
+        code = main(["solve", "--model", "mv", "--input", str(tmp_path / "missing.csv"),
+                     "--n", "3"])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("bpfolio: i/o error:")
+        assert err.count("\n") == 1
+
+    def test_failed_write_leaves_no_partial_file(self, capsys, tmp_path):
+        # the rename onto a directory fails after the temp file is written
+        (tmp_path / "taken").mkdir()
+        code = main(["theory", "mp", "--alpha", "2", "--out", str(tmp_path / "taken")])
+        assert code == 1
+        assert capsys.readouterr().err.startswith("bpfolio: i/o error:")
+        assert os.listdir(tmp_path) == ["taken"]

@@ -10,6 +10,7 @@ from bpfolio.channels import channel_mean_variance
 from bpfolio.engine import (
     AD_BETA_TOP,
     AD_MAX_SWEEPS,
+    DIVERGENCE_THRESHOLD,
     EDGE_VARIANCE_MAX_ASSETS,
     EdgeVariances,
     ZERO_TEMPERATURE_MAX_SWEEPS,
@@ -195,13 +196,14 @@ class TestAssetSweep:
             assert abs(m_w.sum() - 20.0) <= 1e-9 * 20.0
 
     def test_vanishing_cavity_variance_gives_non_finite_means_quietly(self):
-        # the sweep only computes: _iterate reads the non-finite means as
+        # the sweep only computes: the budget closure turns an infinite chi_w
+        # into a NaN in every mean, whose NaN overlap _iterate reads as
         # divergence, and no warning reaches stderr on the way
         m_w, _, m_u, chi_u = make_state(2, 2, chi_u=[0.0, 0.0])
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             m_w, chi_w = asset_sweep(DIAGONAL_2X2, CLOSURE_2X2, m_w, m_u, chi_u, 0.5)
-        assert not np.all(np.isfinite(m_w))
+        assert np.all(np.isnan(m_w))
         assert not np.all(np.isfinite(chi_w))
 
 
@@ -449,8 +451,9 @@ class TestSolveDiagnostics:
         assert not diag.converged
 
     def test_diverged_runs_report_finite_feasible_positions(self):
-        # a diverged run reports its last finite iterate, on which the budget
-        # closure (and, for the clip, the projection) holds sum m_w = N
+        # a diverged run reports its last kept iterate, whose overlap is within
+        # the threshold and on which the budget closure (and, for the clip,
+        # the projection) holds sum m_w = N
         config = default_config(ABSOLUTE_DEVIATION)
         runs = [_iterate(ReturnSet(x), ABSOLUTE_DEVIATION, config, max_sum=True)
                 for x in few_asset_draws()]
@@ -464,3 +467,4 @@ class TestSolveDiagnostics:
             assert diag.diverged
             assert np.all(np.isfinite(port.positions))
             assert abs(port.budget_gap()) <= 1e-9 * port.n_assets
+            assert diag.q_hat <= DIVERGENCE_THRESHOLD
