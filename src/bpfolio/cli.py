@@ -74,6 +74,10 @@ def _jsonable(value):
     return value
 
 
+def _json_text(record: dict) -> str:
+    return json.dumps(_jsonable(record), indent=2)
+
+
 def _emit(text: str, out_path: str | None) -> None:
     """Print to stdout, or write the file atomically (temp file + rename)."""
     if out_path is None:
@@ -83,14 +87,13 @@ def _emit(text: str, out_path: str | None) -> None:
     fd, tmp_path = tempfile.mkstemp(dir=directory, prefix=".bpfolio-", suffix=".part")
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as handle:
-            handle.write(text)
-            if not text.endswith("\n"):
-                handle.write("\n")
+            handle.write(text if text.endswith("\n") else text + "\n")
         os.replace(tmp_path, out_path)
-    except BaseException:
+    except OSError as exc:  # name the target, not the temporary file removed below
+        raise OSError(exc.errno, exc.strerror, out_path) from None
+    finally:
         if os.path.exists(tmp_path):
             os.unlink(tmp_path)
-        raise
 
 
 _COST_FUNCTIONS = {
@@ -197,7 +200,7 @@ def _load_instance(args) -> tuple[ReturnSet, int | None]:
     return generate_returns(args.n, args.p, seed), seed
 
 
-def cmd_solve(args) -> int:
+def cmd_solve(args) -> tuple[str, int]:
     model = _model_from_args(args)
     returns, seed = _load_instance(args)
     config = _config_from_args(args, model)
@@ -215,8 +218,7 @@ def cmd_solve(args) -> int:
         "final_delta": diagnostics.final_delta,
         "positions": portfolio.positions,
     }
-    _emit(json.dumps(_jsonable(record), indent=2), args.out)
-    return EXIT_DIVERGED if diagnostics.diverged else EXIT_OK
+    return _json_text(record), EXIT_DIVERGED if diagnostics.diverged else EXIT_OK
 
 
 def _mean_and_se(values) -> tuple[float, float]:
@@ -229,21 +231,29 @@ def _mean_and_se(values) -> tuple[float, float]:
     return float(arr.mean()), float(arr.std(ddof=1) / math.sqrt(arr.size))
 
 
-def _replica_overlap(model: CostModel, alpha: float, config: BpConfig) -> float:
-    """Replica overlap q for the sweep column of solves run with config: the
-    mv closed form, the ad zero-temperature closed form for a
-    zero-temperature solve, else the ad fixed point at config.beta (nan where
-    it fails), and nan for a generic cost, which has no theory here."""
+def _replica_columns(model: CostModel, alpha: float, config: BpConfig) -> tuple[float, float]:
+    """The sweep row's replica (q, eps) for solves run with config: the mv closed
+    forms, the ad zero-temperature closed forms for a zero-temperature solve,
+    else the ad fixed point's q at config.beta (nan where it fails) and eps nan,
+    and nan for both for a generic cost, which has no theory here."""
     if model.kind == "mv":
-        return theory.rs_closed_form_mv(alpha, config.beta).q
+        return theory.rs_closed_form_mv(alpha, config.beta).q, (alpha - 1.0) / 2.0
     if model.kind != "ad":
-        return math.nan
+        return math.nan, math.nan
     if engine.zero_temperature(model, config):
         return theory.rs_zero_temperature_ad(alpha)
     try:
-        return theory.rs_fixed_point(alpha, config.beta, model).q
+        return theory.rs_fixed_point(alpha, config.beta, model).q, math.nan
     except theory.ReplicaConvergenceError:
-        return math.nan
+        return math.nan, math.nan
+
+
+def _trials(model, n_assets, n_periods, trials, base_seed, config=None):
+    """Solve an ensemble: for each trial i, yield (returns, portfolio,
+    diagnostics) of the n_assets x n_periods instance seeded base_seed + i."""
+    for trial in range(trials):
+        returns = generate_returns(n_assets, n_periods, base_seed + trial)
+        yield (returns, *engine.solve(returns, model, config))
 
 
 def run_sweep(model: CostModel, alphas, n_assets: int, trials: int, base_seed: int,
@@ -259,13 +269,13 @@ def run_sweep(model: CostModel, alphas, n_assets: int, trials: int, base_seed: i
     on average over 100 draws, 3.7e-4 at worst). The mean-variance
     references are the closed forms q = alpha/(alpha-1) and eps =
     (alpha-1)/2. The default absolute-deviation sweep (no beta, or one of at
-    least 2^20) is zero-temperature: its trials run max-sum BP and its q
-    reference is the closed form theory.rs_zero_temperature_ad (2.485 at
-    alpha=2). An explicit beta below 2^20 solves at finite temperature, and
-    its q reference is the replica fixed point at that beta, nan where that
-    fixed point does not converge. The absolute-deviation eps has no closed
-    form and is reported nan. A generic cost has neither reference, so both
-    columns are nan.
+    least 2^20) is zero-temperature: its trials run max-sum BP and its
+    references are the closed forms of theory.rs_zero_temperature_ad (q
+    2.485 and eps 0.9405 at alpha=2). An explicit beta below 2^20 solves at
+    finite temperature, and its q reference is the replica fixed point at
+    that beta, nan where that fixed point does not converge; its eps has no
+    closed form and is reported nan. A generic cost has neither reference,
+    so both columns are nan.
     """
     config = engine.default_config(model, beta)
     if trials == 1:
@@ -275,43 +285,35 @@ def run_sweep(model: CostModel, alphas, n_assets: int, trials: int, base_seed: i
     for requested in alphas:
         n_periods = int(round(requested * n_assets))
         alpha = n_periods / n_assets
-        q_values, eps_values = [], []
-        n_diverged = 0
-        for trial in range(trials):
-            returns = generate_returns(n_assets, n_periods, base_seed + trial)
-            _, diagnostics = engine.solve(returns, model, config)
-            if diagnostics.diverged:
-                n_diverged += 1
-            else:
-                q_values.append(diagnostics.q_hat)
-                eps_values.append(diagnostics.eps_hat)
-
-        q_mean, q_se = _mean_and_se(q_values)
-        eps_mean, eps_se = _mean_and_se(eps_values)
-        q_replica = _replica_overlap(model, alpha, config)
-        eps_replica = (alpha - 1.0) / 2.0 if model.kind == "mv" else math.nan
+        solved = [diagnostics for _, _, diagnostics
+                  in _trials(model, n_assets, n_periods, trials, base_seed, config)
+                  if not diagnostics.diverged]
+        q_mean, q_se = _mean_and_se([diagnostics.q_hat for diagnostics in solved])
+        eps_mean, eps_se = _mean_and_se([diagnostics.eps_hat for diagnostics in solved])
+        q_replica, eps_replica = _replica_columns(model, alpha, config)
         lines.append(
             f"{alpha:.10g},{q_mean:.10g},{q_se:.10g},{eps_mean:.10g},{eps_se:.10g},"
-            f"{q_replica:.10g},{eps_replica:.10g},{n_diverged}"
+            f"{q_replica:.10g},{eps_replica:.10g},{trials - len(solved)}"
         )
     return "\n".join(lines)
 
 
-def cmd_sweep(args) -> int:
-    alphas = [float(chunk) for chunk in args.alphas.split(",") if chunk]
+def cmd_sweep(args) -> tuple[str, int]:
+    try:
+        alphas = [float(chunk) for chunk in args.alphas.split(",") if chunk]
+    except ValueError as exc:
+        raise ReturnsParseError(f"--alphas {args.alphas!r}: {exc}") from None
     if not alphas or not all(math.isfinite(a * args.n) and round(a * args.n) > args.n
                              for a in alphas):
         raise ReturnsParseError("sweep alphas must all be finite and exceed 1 "
                                 f"as round(alpha*n)/n at n={args.n}")
     if args.trials < 1:
         raise ReturnsParseError("trials must be at least 1")
-    csv_text = run_sweep(_MODELS[args.model], alphas, args.n, args.trials, _seed(args),
-                         beta=args.beta)
-    _emit(csv_text, args.out)
-    return EXIT_OK
+    return run_sweep(_MODELS[args.model], alphas, args.n, args.trials, _seed(args),
+                     beta=args.beta), EXIT_OK
 
 
-def cmd_theory(args) -> int:
+def cmd_theory(args) -> tuple[str, int]:
     if args.which == "replica":
         if args.model == "es":
             raise ReturnsParseError(
@@ -335,14 +337,13 @@ def cmd_theory(args) -> int:
             "value": theory.annealed_cost(args.model, args.alpha, args.s,
                                           gamma=args.gamma),
         }
-    _emit(json.dumps(_jsonable(record), indent=2), args.out)
-    return EXIT_OK
+    return _json_text(record), EXIT_OK
 
 
 _COUNTEREXAMPLE_ROWS = ((1.0, 3.0), (2.0, 1.0))
 
 
-def cmd_ky(args) -> int:
+def cmd_ky(args) -> tuple[str, int]:
     if args.counterexample:
         returns = ReturnSet(np.array(_COUNTEREXAMPLE_ROWS))
         w_mv = oracles.exact_mean_variance(returns)
@@ -355,26 +356,21 @@ def cmd_ky(args) -> int:
             "distance": distance,
             "cosine": theory.portfolio_similarity(w_mv, w_ad),
         }
-        _emit(json.dumps(_jsonable(record), indent=2), args.out)
-        return EXIT_OK
+        return _json_text(record), EXIT_OK
 
     if args.n is None or args.p is None:
         raise ReturnsParseError("random mode requires --n and --p (or use --counterexample)")
     if args.trials < 1:
         raise ReturnsParseError("trials must be at least 1")
-    seed = _seed(args)
     cosines, q_gaps = [], []
-    n_diverged = 0
-    for trial in range(args.trials):
-        returns = generate_returns(args.n, args.p, seed + trial)
+    for returns, w_ad, diagnostics in _trials(ABSOLUTE_DEVIATION, args.n, args.p,
+                                              args.trials, _seed(args)):
+        # on every trial, diverged or not: fewer periods than assets is a usage error
         w_mv = oracles.exact_mean_variance(returns)
-        w_ad, diagnostics = engine.solve(returns, ABSOLUTE_DEVIATION)
-        if diagnostics.diverged:
-            n_diverged += 1
-            continue
-        q_mv, _ = engine.observables(w_mv, returns, MEAN_VARIANCE)
-        cosines.append(theory.portfolio_similarity(w_mv, w_ad))
-        q_gaps.append(abs(q_mv - diagnostics.q_hat))
+        if not diagnostics.diverged:
+            q_mv, _ = engine.observables(w_mv, returns, MEAN_VARIANCE)
+            cosines.append(theory.portfolio_similarity(w_mv, w_ad))
+            q_gaps.append(abs(q_mv - diagnostics.q_hat))
     mean_cosine, cosine_se = _mean_and_se(cosines)
     record = {
         "trials": args.trials,
@@ -382,11 +378,10 @@ def cmd_ky(args) -> int:
         "n_periods": args.p,
         "mean_cosine": mean_cosine,
         "cosine_se": cosine_se,
-        "mean_q_gap": float(np.mean(q_gaps)) if q_gaps else math.nan,
-        "n_diverged": n_diverged,
+        "mean_q_gap": _mean_and_se(q_gaps)[0],
+        "n_diverged": args.trials - len(cosines),
     }
-    _emit(json.dumps(_jsonable(record), indent=2), args.out)
-    return EXIT_OK
+    return _json_text(record), EXIT_OK
 
 
 def _build_parser() -> _Parser:
@@ -456,9 +451,10 @@ def main(argv=None) -> int:
     except SystemExit as exc:  # argparse exits on --help (0) and on a usage error (1)
         return exc.code
     try:
-        return args.handler(args)
-    except (ReturnsParseError, oracles.SingularInstanceError,
-            theory.ReplicaConvergenceError, ValueError) as exc:
+        text, code = args.handler(args)
+        _emit(text, args.out)
+        return code
+    except (theory.ReplicaConvergenceError, ValueError) as exc:
         print(f"bpfolio: error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except OSError as exc:

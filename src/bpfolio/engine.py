@@ -74,7 +74,7 @@ def zero_temperature(model: CostModel, config: BpConfig) -> bool:
     That is an `ad` solve whose top beta is at least AD_BETA_TOP, where the
     finite-temperature channel already sits within 1e-3 of its max-sum limit;
     such a solve runs channel_absolute_deviation_max_sum at that beta from its
-    first sweep, with no ladder, and its replica overlap is
+    first sweep, with no ladder, and its replica overlap and cost are
     theory.rs_zero_temperature_ad.
     """
     return model.kind == "ad" and config.beta >= AD_BETA_TOP

@@ -130,24 +130,27 @@ def rs_fixed_point(alpha: float, beta: float, model: CostModel,
     )
 
 
-def rs_zero_temperature_ad(alpha: float) -> float:
-    """Replica overlap q of the absolute-deviation optimum, the beta -> infinity limit.
+def rs_zero_temperature_ad(alpha: float) -> tuple[float, float]:
+    """Replica overlap q and cost eps of the absolute-deviation optimum, beta -> infinity.
 
     There the channel kernel is the clip -clip(h/chi, -beta, beta), so the
     fixed point has a closed form: the clip level t solves P(|z| <= t) =
     1/alpha, that is t = ndtri(1/2 + 1/(2*alpha)), and
     q = 1/(1 - alpha*E[clip(z, -t, t)^2]) = 1/(2*alpha*t*(phi(t) - t*Phibar(t)))
-    for standard normal z. A finite alpha <= 1 gives inf, the divergent phase.
-    The standard library's inverse normal CDF and erfc stand in for scipy's
-    ndtri and ndtr, so a zero-temperature sweep does not import scipy.special.
+    for standard normal z; the optimal period return soft-thresholds sqrt(q)*z
+    at chi, so eps = 2*alpha*sqrt(q)*(phi(t) - t*Phibar(t)) = 1/(t*sqrt(q)).
+    A finite alpha <= 1 gives (inf, 0), the divergent phase with a perfect
+    hedge. The standard library's normal stands in for scipy's ndtri and ndtr,
+    so a zero-temperature sweep does not import scipy.special.
     """
     if not math.isfinite(alpha):
         raise ValueError("alpha must be finite")
     if alpha <= 1.0:
-        return math.inf
+        return math.inf, 0.0
     t = _STANDARD_NORMAL.inv_cdf(0.5 + 0.5 / alpha)
     density = math.exp(-0.5 * t * t) / _SQRT_2PI
-    return 1.0 / (2.0 * alpha * t * (density - t * 0.5 * math.erfc(t / _SQRT2)))
+    q = 1.0 / (2.0 * alpha * t * (density - t * 0.5 * math.erfc(t / _SQRT2)))
+    return q, 1.0 / (t * math.sqrt(q))
 
 
 def mp_bulk_expectation(alpha: float, f: Callable[[float], float]) -> float:

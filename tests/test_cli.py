@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from bpfolio import theory
-from bpfolio.cli import SWEEP_CSV_HEADER, _replica_overlap, main, run_sweep
+from bpfolio.cli import SWEEP_CSV_HEADER, _replica_columns, main, run_sweep
 from bpfolio.model import ABSOLUTE_DEVIATION, MEAN_VARIANCE, BpConfig, generic_model
 
 
@@ -232,11 +232,12 @@ class TestSweepCommand:
 
         monkeypatch.setattr(theory, "rs_fixed_point", broken)
         with pytest.raises(RuntimeError, match="not a convergence failure"):
-            _replica_overlap(ABSOLUTE_DEVIATION, 2.0, BpConfig(beta=4.0))
+            _replica_columns(ABSOLUTE_DEVIATION, 2.0, BpConfig(beta=4.0))
 
     def test_generic_cost_has_no_replica_overlap(self):
         model = generic_model(lambda u: u * u / 2)
-        assert math.isnan(_replica_overlap(model, 2.0, BpConfig()))
+        q, eps = _replica_columns(model, 2.0, BpConfig())
+        assert math.isnan(q) and math.isnan(eps)
 
     def test_alpha_at_or_below_one_rejected(self, capsys):
         assert main(["sweep", "--model", "mv", "--alphas", "0.5,2"]) == 1
@@ -249,7 +250,7 @@ class TestSweepCommand:
 
     @pytest.mark.parametrize("model, q_replica, eps_replica", [
         (MEAN_VARIANCE, 10.0 / 3.0, 1.5 / 7.0),
-        (ABSOLUTE_DEVIATION, theory.rs_zero_temperature_ad(10.0 / 7.0), math.nan),
+        (ABSOLUTE_DEVIATION, *theory.rs_zero_temperature_ad(10.0 / 7.0)),
     ], ids=["mv", "ad"])
     def test_row_describes_the_solved_instances(self, model, q_replica, eps_replica):
         # 1.5 * 7 assets rounds to 10 periods, so the instances have alpha = 10/7
@@ -258,10 +259,19 @@ class TestSweepCommand:
         assert row[5] == f"{q_replica:.10g}"
         assert row[6] == f"{eps_replica:.10g}"
 
+    def test_absolute_deviation_eps_mean_matches_zero_temperature_cost(self):
+        row = run_sweep(ABSOLUTE_DEVIATION, [2.0], 100, 20, 0).splitlines()[1].split(",")
+        eps_mean, eps_se, eps_replica = float(row[3]), float(row[4]), float(row[6])
+        assert eps_replica == pytest.approx(0.940503, abs=5e-7)
+        assert abs(eps_mean - eps_replica) <= 3 * eps_se
+
     def test_non_finite_alphas_rejected(self, capsys):
         assert main(["sweep", "--model", "mv", "--alphas", "inf"]) == 1
         assert main(["sweep", "--model", "mv", "--alphas", "2,nan"]) == 1
         assert capsys.readouterr().err.count("must all be finite") == 2
+        assert main(["sweep", "--model", "mv", "--alphas", "2,abc"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("bpfolio: error: --alphas '2,abc'") and "'abc'" in err
 
     def test_trial_seeds_are_base_plus_index(self):
         # trials 0 and 1 of base seed 5 equal single trials at seeds 5 and 6
@@ -394,6 +404,14 @@ class TestKyCommand:
     def test_random_mode_rejects_fewer_than_one_trial(self, capsys):
         assert main(["ky", "--n", "5", "--p", "10", "--trials", "0"]) == 1
         assert main(["ky", "--n", "5", "--p", "10", "--trials", "-3"]) == 1
+
+    def test_random_mode_rejects_fewer_periods_than_assets(self, capsys):
+        # the mean-variance optimum needs p >= N, checked on every trial
+        assert main(["ky", "--n", "20", "--p", "10", "--trials", "2"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("bpfolio: error: need at least as many periods as assets, "
+                                "got p=10 < N=20\n")
 
 
 def test_import_leaves_integrate_and_optimize_unloaded():
@@ -569,5 +587,9 @@ class TestOutputFiles:
         (tmp_path / "taken").mkdir()
         code = main(["theory", "mp", "--alpha", "2", "--out", str(tmp_path / "taken")])
         assert code == 1
-        assert capsys.readouterr().err.startswith("bpfolio: i/o error:")
+        err = capsys.readouterr().err
+        assert err.startswith("bpfolio: i/o error:")
+        # the message names the --out target, not the removed temporary file
+        assert err.count("\n") == 1
+        assert repr(str(tmp_path / "taken")) in err and ".bpfolio-" not in err
         assert os.listdir(tmp_path) == ["taken"]

@@ -5,11 +5,12 @@ import sys
 
 import numpy as np
 import pytest
+import scipy.integrate
 import scipy.optimize
 import scipy.special
 import scipy.stats
 
-from bpfolio.cli import _replica_overlap
+from bpfolio.cli import _replica_columns
 from bpfolio.engine import AD_BETA_TOP, default_config
 from bpfolio.model import ABSOLUTE_DEVIATION, MEAN_VARIANCE, Portfolio, generic_model
 from bpfolio.theory import (
@@ -119,11 +120,28 @@ def zero_temperature_overlap_by_root(alpha):
     return 1.0 / (1.0 - alpha * clipped_sq)
 
 
+def zero_temperature_cost_by_quadrature(alpha):
+    """eps at beta -> infinity: alpha times E|u| for the period return u, the
+    soft threshold of sqrt(q) z at sqrt(q) t, with E[(|z| - t)_+] by quadrature."""
+    norm = scipy.stats.norm
+    t = norm.ppf(0.5 + 0.5 / alpha)
+    tail, _ = scipy.integrate.quad(lambda z: (z - t) * norm.pdf(z), t, np.inf,
+                                   epsabs=1e-14, epsrel=1e-13)
+    return alpha * math.sqrt(zero_temperature_overlap_by_root(alpha)) * 2.0 * tail
+
+
 class TestZeroTemperatureAd:
     @pytest.mark.parametrize("alpha", [1.01, 1.5, 2.0, 5.0])
     def test_matches_root_finding_reference(self, alpha):
         reference = zero_temperature_overlap_by_root(alpha)
-        assert rs_zero_temperature_ad(alpha) == pytest.approx(reference, rel=1e-12)
+        assert rs_zero_temperature_ad(alpha)[0] == pytest.approx(reference, rel=1e-12)
+
+    @pytest.mark.parametrize("alpha, value", [
+        (1.5, 0.524208), (2.0, 0.940503), (3.0, 1.750691), (5.0, 3.354033)])
+    def test_cost_matches_quadrature_reference(self, alpha, value):
+        reference = zero_temperature_cost_by_quadrature(alpha)
+        assert reference == pytest.approx(value, abs=5e-7)
+        assert rs_zero_temperature_ad(alpha)[1] == pytest.approx(reference, rel=1e-10)
 
     def test_stdlib_closed_form_matches_scipy_on_a_dense_grid(self):
         # the package computes t and Phibar(t) with statistics and math; here
@@ -132,14 +150,14 @@ class TestZeroTemperatureAd:
             t = float(scipy.special.ndtri(0.5 + 0.5 / alpha))
             density = math.exp(-0.5 * t * t) / math.sqrt(2.0 * math.pi)
             reference = 1.0 / (2.0 * alpha * t * (density - t * float(scipy.special.ndtr(-t))))
-            assert rs_zero_temperature_ad(alpha) == pytest.approx(reference, rel=1e-12), alpha
+            assert rs_zero_temperature_ad(alpha)[0] == pytest.approx(reference, rel=1e-12), alpha
 
     def test_alpha_two_value(self):
-        assert rs_zero_temperature_ad(2.0) == pytest.approx(2.485017, abs=5e-7)
+        assert rs_zero_temperature_ad(2.0)[0] == pytest.approx(2.485017, abs=5e-7)
 
     def test_divergent_phase_is_infinite(self):
         for alpha in (-1.0, 0.5, 1.0):
-            assert rs_zero_temperature_ad(alpha) == math.inf
+            assert rs_zero_temperature_ad(alpha) == (math.inf, 0.0)
 
     @pytest.mark.parametrize("alpha", [float("nan"), float("inf"), float("-inf")])
     def test_non_finite_alpha_rejected(self, alpha):
@@ -148,13 +166,13 @@ class TestZeroTemperatureAd:
 
     def test_is_the_large_beta_limit_of_the_fixed_point(self):
         solution = rs_fixed_point(2.0, AD_BETA_TOP, ABSOLUTE_DEVIATION)
-        assert solution.q == pytest.approx(rs_zero_temperature_ad(2.0), rel=1e-3)
+        assert solution.q == pytest.approx(rs_zero_temperature_ad(2.0)[0], rel=1e-3)
 
     def test_sweep_reference_is_finite_near_alpha_one(self):
         # the fixed point at 2^20 does not converge here, and the column read nan
-        q = _replica_overlap(ABSOLUTE_DEVIATION, 1.01, default_config(ABSOLUTE_DEVIATION))
+        q, eps = _replica_columns(ABSOLUTE_DEVIATION, 1.01, default_config(ABSOLUTE_DEVIATION))
         assert math.isfinite(q)
-        assert q == rs_zero_temperature_ad(1.01)
+        assert (q, eps) == rs_zero_temperature_ad(1.01)
 
     def test_import_leaves_scipy_stats_unloaded(self):
         # scipy.stats costs about half a second of start-up
