@@ -164,7 +164,7 @@ def channel_absolute_deviation_max_sum(h, chi_tilde, beta):
     -clip(h/chi_tilde, -beta, beta) and chi = -dm/dh is 1/chi_tilde inside the
     threshold and 0 outside it. Only arithmetic: no Gaussian tails, no masks.
     """
-    m_u = np.clip(-h / chi_tilde, -beta, beta)
+    m_u = np.minimum(np.maximum(-h / chi_tilde, -beta), beta)  # np.clip, without its overhead
     chi_u = (np.abs(h) < beta * chi_tilde) / chi_tilde
     return m_u, chi_u
 

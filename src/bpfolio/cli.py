@@ -32,6 +32,9 @@ EXIT_DIVERGED = 2
 
 SWEEP_CSV_HEADER = "alpha,q_mean,q_se,eps_mean,eps_se,q_replica,eps_replica,n_diverged"
 
+# _trials solves as many instances at once as fit in this many bytes of returns
+BATCH_BYTES = 32 * 2**20
+
 _DEFAULT_SEED = 0
 _SEED_ENV_VAR = "BPFOLIO_SEED"
 
@@ -250,10 +253,19 @@ def _replica_columns(model: CostModel, alpha: float, config: BpConfig) -> tuple[
 
 def _trials(model, n_assets, n_periods, trials, base_seed, config=None):
     """Solve an ensemble: for each trial i, yield (returns, portfolio,
-    diagnostics) of the n_assets x n_periods instance seeded base_seed + i."""
-    for trial in range(trials):
-        returns = generate_returns(n_assets, n_periods, base_seed + trial)
-        yield (returns, *engine.solve(returns, model, config))
+    diagnostics) of the n_assets x n_periods instance seeded base_seed + i.
+
+    The trials are drawn and solved in batches of as many instances as fit in
+    BATCH_BYTES (at least one), each one engine.solve_batch call, whose
+    results do not depend on the batch an instance is solved in."""
+    # at least one instance; generate_returns names the error of an empty shape
+    size = max(1, BATCH_BYTES // max(1, 8 * n_assets * n_periods))
+    for start in range(0, trials, size):
+        batch = [generate_returns(n_assets, n_periods, base_seed + trial)
+                 for trial in range(start, min(start + size, trials))]
+        for returns, (portfolio, diagnostics) in zip(
+                batch, engine.solve_batch(batch, model, config)):
+            yield returns, portfolio, diagnostics
 
 
 def run_sweep(model: CostModel, alphas, n_assets: int, trials: int, base_seed: int,
@@ -275,8 +287,12 @@ def run_sweep(model: CostModel, alphas, n_assets: int, trials: int, base_seed: i
     finite temperature, and its q reference is the replica fixed point at
     that beta, nan where that fixed point does not converge; its eps has no
     closed form and is reported nan. A generic cost has neither reference,
-    so both columns are nan.
+    so both columns are nan. Fewer than 2 assets or 1 trial raise ValueError.
     """
+    if n_assets < 2:
+        raise ValueError(f"need at least 2 assets, got {n_assets}")
+    if trials < 1:
+        raise ValueError(f"trials must be at least 1, got {trials}")
     config = engine.default_config(model, beta)
     if trials == 1:
         print("warning: trials=1 gives degenerate statistics; "
@@ -362,10 +378,11 @@ def cmd_ky(args) -> tuple[str, int]:
         raise ReturnsParseError("random mode requires --n and --p (or use --counterexample)")
     if args.trials < 1:
         raise ReturnsParseError("trials must be at least 1")
+    if 1 <= args.p < args.n:  # below one period, generate_returns names the error
+        oracles.require_periods(args.n, args.p)
     cosines, q_gaps = [], []
     for returns, w_ad, diagnostics in _trials(ABSOLUTE_DEVIATION, args.n, args.p,
                                               args.trials, _seed(args)):
-        # on every trial, diverged or not: fewer periods than assets is a usage error
         w_mv = oracles.exact_mean_variance(returns)
         if not diagnostics.diverged:
             q_mv, _ = engine.observables(w_mv, returns, MEAN_VARIANCE)

@@ -2,7 +2,9 @@
 budget-multiplier closure, damping, and convergence/divergence control."""
 from __future__ import annotations
 
+import math
 from dataclasses import replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -103,20 +105,42 @@ def beta_ladder(model: CostModel, config: BpConfig) -> list[float]:
 EDGE_VARIANCE_MAX_ASSETS = 16
 
 
+class _Stack(NamedTuple):
+    """Instances of one shape stacked on a leading axis: entries is (B, N, p).
+
+    The sweeps and the cavity variances read only entries, n_assets and
+    n_periods, so they take a _Stack where they take a ReturnSet and act on
+    every instance at once. Their products over the stack are np.matvec and
+    np.vecdot, which make one BLAS call per instance, and the rest of their
+    arithmetic is elementwise or per instance, so each instance gets the
+    bits it gets alone, whatever else is in the stack."""
+
+    entries: np.ndarray
+
+    @property
+    def n_assets(self) -> int:
+        return self.entries.shape[-2]
+
+    @property
+    def n_periods(self) -> int:
+        return self.entries.shape[-1]
+
+
 class EdgeVariances:
     """Per-edge cavity variances, as message passing derives them:
     chi_tilde_u = (1/N) sum_k x_kmu^2 chi_wk and chi_tilde_w = (1/N) sum_mu
-    x_kmu^2 chi_umu, each a dense pass over the stored N x p array x*x."""
+    x_kmu^2 chi_umu, each a dense pass over the stored N x p array x*x (one
+    per instance of a stack)."""
 
-    def __init__(self, returns: ReturnSet):
+    def __init__(self, returns):
         self.squares = returns.entries * returns.entries
         self.n = returns.n_assets
 
     def to_periods(self, chi_w: np.ndarray) -> np.ndarray:
-        return self.squares.T @ chi_w / self.n
+        return np.matvec(self.squares.mT, chi_w) / self.n
 
     def to_assets(self, chi_u: np.ndarray) -> np.ndarray:
-        return self.squares @ chi_u / self.n
+        return np.matvec(self.squares, chi_u) / self.n
 
 
 class RankOneVariances:
@@ -125,56 +149,62 @@ class RankOneVariances:
     r holds the row means of x*x, c the column means and s the grand mean, so
     the closure keeps every row sum and column sum of x*x. Then
     chi_tilde_u = c * (r @ chi_w) / (s*N) and chi_tilde_w = r * (c @ chi_u) / (s*N)
-    cost O(N + p), and x*x itself is never formed.
+    cost O(N + p) per instance, and x*x itself is never formed.
     """
 
-    def __init__(self, returns: ReturnSet):
+    def __init__(self, returns):
         x = returns.entries
-        n, p = x.shape
-        r = np.einsum("kt,kt->k", x, x) / p
-        self.col = np.einsum("kt,kt->t", x, x) / n
-        s = r.mean()
+        n, p = returns.n_assets, returns.n_periods
+        r = np.einsum("...kt,...kt->...k", x, x) / p
+        self.col = np.einsum("...kt,...kt->...t", x, x) / n
+        s = r.mean(axis=-1, keepdims=True)
         # x = 0: every cavity variance is 0, as with per-edge x*x
-        self.row = r if s == 0.0 else r / (s * n)
+        self.row = np.divide(r, s * n, out=np.zeros_like(r), where=s != 0.0)
 
     def to_periods(self, chi_w: np.ndarray) -> np.ndarray:
-        return self.col * (self.row @ chi_w)
+        return self.col * np.vecdot(self.row, chi_w, keepdims=True)
 
     def to_assets(self, chi_u: np.ndarray) -> np.ndarray:
-        return self.row * (self.col @ chi_u)
+        return self.row * np.vecdot(self.col, chi_u, keepdims=True)
 
 
-def cavity_variances(returns: ReturnSet):
+def cavity_variances(returns):
     """EdgeVariances up to EDGE_VARIANCE_MAX_ASSETS assets, else RankOneVariances."""
     if returns.n_assets <= EDGE_VARIANCE_MAX_ASSETS:
         return EdgeVariances(returns)
     return RankOneVariances(returns)
 
 
-def period_sweep(returns: ReturnSet, variances, channel, m_w: np.ndarray,
+def period_sweep(returns, variances, channel, m_w: np.ndarray,
                  chi_w: np.ndarray, m_u: np.ndarray, beta: float, damping: float):
     """New period means and variances (m_u, chi_u) from the asset side.
 
-    The cavity variance chi_tilde_u is variances.to_periods(chi_w) (see
-    cavity_variances). The field h_u is (1/sqrt N) sum_k x_k m_wk, a dense
-    pass over x, minus the self-response term chi_tilde_u * m_u built from the
-    previous period means. channel maps (h, chi_tilde, beta) -> (m, chi).
+    returns is a ReturnSet or a _Stack, and the arrays carry the same leading
+    axes as its entries. The cavity variance chi_tilde_u is
+    variances.to_periods(chi_w) (see cavity_variances). The field h_u is
+    (1/sqrt N) sum_k x_k m_wk, a dense pass over x, minus the self-response
+    term chi_tilde_u * m_u built from the previous period means. channel maps
+    (h, chi_tilde, beta) -> (m, chi) elementwise.
     """
     chi_tilde_u = variances.to_periods(chi_w)
-    h_u = returns.entries.T @ m_w / np.sqrt(returns.n_assets) - chi_tilde_u * m_u
+    # in place on the new product: a few small arrays fewer per sweep, same bits
+    h_u = np.matvec(returns.entries.mT, m_w)
+    h_u /= math.sqrt(returns.n_assets)
+    h_u -= chi_tilde_u * m_u
     m_channel, chi_u = channel(h_u, chi_tilde_u, beta)
     return (1.0 - damping) * m_channel + damping * m_u, chi_u
 
 
-def asset_sweep(returns: ReturnSet, variances, m_w: np.ndarray, m_u: np.ndarray,
+def asset_sweep(returns, variances, m_w: np.ndarray, m_u: np.ndarray,
                 chi_u: np.ndarray, damping: float):
     """New asset means and variances (m_w, chi_w), enforcing the budget through m_tilde.
 
-    The cavity variance chi_tilde_w is variances.to_assets(chi_u), and
-    chi_w = 1/chi_tilde_w. The field h_w is (1/sqrt N) sum_mu x_mu m_umu, a
-    dense pass over x, plus (not minus) its self-response term
-    chi_tilde_w * m_wk from the previous asset means.
-    The budget multiplier has the closed form m_tilde = (N - sum chi_w h_w)/sum chi_w
+    returns and the arrays are as in period_sweep. The cavity variance
+    chi_tilde_w is variances.to_assets(chi_u), and chi_w = 1/chi_tilde_w. The
+    field h_w is (1/sqrt N) sum_mu x_mu m_umu, a dense pass over x, plus (not
+    minus) its self-response term chi_tilde_w * m_wk from the previous asset
+    means. The budget multiplier has the closed form
+    m_tilde = (N - sum chi_w h_w)/sum chi_w, one per instance,
     because the mean update is linear in it, and the undamped means
     chi_w * (h_w + m_tilde) then satisfy sum m_w = N exactly.
     The returned m_w is always a new array, never the m_w passed in.
@@ -184,12 +214,19 @@ def asset_sweep(returns: ReturnSet, variances, m_w: np.ndarray, m_u: np.ndarray,
     """
     n = returns.n_assets
     chi_tilde_w = variances.to_assets(chi_u)
-    h_w = returns.entries @ m_u / np.sqrt(n) + chi_tilde_w * m_w
+    h_w = np.matvec(returns.entries, m_u)
+    h_w /= math.sqrt(n)
+    h_w += chi_tilde_w * m_w
     with np.errstate(divide="ignore", invalid="ignore"):
         chi_w = 1.0 / chi_tilde_w
-        m_tilde = (n - chi_w @ h_w) / chi_w.sum()
-    m_target = chi_w * (h_w + m_tilde)
-    return (1.0 - damping) * m_target + damping * m_w, chi_w
+        m_tilde = ((n - np.vecdot(chi_w, h_w, keepdims=True))
+                   / np.add.reduce(chi_w, axis=-1, keepdims=True))
+    # the damped chi_w * (h_w + m_tilde), built in h_w's buffer
+    h_w += m_tilde
+    h_w *= chi_w
+    h_w *= 1.0 - damping
+    h_w += damping * m_w
+    return h_w, chi_w
 
 
 def observables(portfolio: Portfolio, returns: ReturnSet, model: CostModel):
@@ -231,32 +268,71 @@ def solve(returns: ReturnSet, model: CostModel, config: BpConfig = None):
     loses local stability and the iterate circles it, so the instantaneous
     m_w sits on the cycle while the average sits at its center. Every damped
     iterate satisfies the budget exactly, hence so does the average.
+
+    It is solve_batch of the one instance.
     """
+    (result,) = solve_batch([returns], model, config)
+    return result
+
+
+def solve_batch(instances, model: CostModel, config: BpConfig = None):
+    """solve for each ReturnSet in instances, all of one shape, as one stacked
+    iteration; returns one (portfolio, diagnostics) per instance, in order.
+
+    The sweeps act on a (B, N, p) stack of the instances' returns through one
+    BLAS product per instance and elementwise arithmetic, so each result is
+    bitwise the one solve gives its instance alone, whatever else is in the
+    batch. A single instance is stacked as a view of its returns, never a
+    copy. The zero-temperature runs that diverge are solved again together,
+    up the finite-temperature ladder.
+    """
+    instances = list(instances)
     if config is None:
         config = default_config(model)
     if not zero_temperature(model, config):
-        return _iterate(returns, model, config, max_sum=False)
-    portfolio, diagnostics = _iterate(returns, model, config, max_sum=True)
-    if not diagnostics.diverged:
-        return portfolio, diagnostics
-    # the ladder needs its own budget: at AD_BETA_TOP it takes 2561 sweeps
-    # to climb before the hold phase starts
-    fallback = replace(config, max_sweeps=max(config.max_sweeps, AD_MAX_SWEEPS))
-    return _iterate(returns, model, fallback, max_sum=False)
+        return _iterate(instances, model, config, max_sum=False)
+    results = _iterate(instances, model, config, max_sum=True)
+    redo = [i for i, (_, diagnostics) in enumerate(results) if diagnostics.diverged]
+    if redo:
+        # the ladder needs its own budget: at AD_BETA_TOP it takes 2561 sweeps
+        # to climb before the hold phase starts
+        fallback = replace(config, max_sweeps=max(config.max_sweeps, AD_MAX_SWEEPS))
+        redone = _iterate([instances[i] for i in redo], model, fallback, max_sum=False)
+        for i, result in zip(redo, redone):
+            results[i] = result
+    return results
 
 
-def _iterate(returns: ReturnSet, model: CostModel, config: BpConfig, max_sum: bool):
-    """One run of solve: with max_sum, the max-sum `ad` channel held at
-    config.beta and a projection onto the budget after every sweep, else
-    channel_for(model) along beta_ladder. The sweeps only compute; each pair
-    is judged here once, before the projection: unless its overlap is at most
-    DIVERGENCE_THRESHOLD (NaN when chi_w is not finite, see asset_sweep), it
-    is discarded, uncounted, and the run ends diverged with the last kept
-    iterate and delta."""
-    variances = cavity_variances(returns)
-    n = returns.n_assets
+def _keep(kept: np.ndarray, stack: _Stack, *arrays):
+    """The stack of the rows in kept, its cavity variances and each array's kept rows."""
+    stack = _Stack(stack.entries[kept])
+    return (stack, cavity_variances(stack), *(array[kept] for array in arrays))
+
+
+def _iterate(instances, model: CostModel, config: BpConfig, max_sum: bool):
+    """One run of solve over a batch of instances of one shape: with max_sum,
+    the max-sum `ad` channel held at config.beta and a projection onto the
+    budget after every sweep, else channel_for(model) along beta_ladder. The
+    sweeps only compute; each pair is judged here once per instance, before
+    the projection: unless its overlap is at most DIVERGENCE_THRESHOLD (NaN
+    when chi_w is not finite, see asset_sweep), it is discarded, uncounted,
+    and that instance ends diverged with its last kept iterate and delta.
+
+    Each instance is a row of the stack. A row that converges or diverges is
+    recorded and leaves the stack at once, so no row sweeps past its end and
+    none sweeps a NaN iterate; the rows still running share the sweep count,
+    hence beta and the hold phase.
+    """
+    if not instances:
+        return []
+    if len(instances) == 1:
+        stack = _Stack(instances[0].entries[None])
+    else:
+        stack = _Stack(np.stack([returns.entries for returns in instances]))
+    variances = cavity_variances(stack)
+    batch, n, p = stack.entries.shape
     # budget-feasible uniform start; period_sweep sets chi_u before it is read
-    m_w, chi_w, m_u = np.ones(n), np.ones(n), np.zeros(returns.n_periods)
+    m_w, chi_w, m_u = np.ones((batch, n)), np.ones((batch, n)), np.zeros((batch, p))
     if max_sum:
         channel, ladder = channel_absolute_deviation_max_sum, [config.beta]
         burn_in = ZERO_TEMPERATURE_BURN_SWEEPS
@@ -266,48 +342,73 @@ def _iterate(returns: ReturnSet, model: CostModel, config: BpConfig, max_sum: bo
         burn_in = AVG_BURN_SWEEPS if len(ladder) > 1 else None
     ramp_sweeps = len(ladder) - 1  # sweeps before the final beta
 
-    converged = False
-    diverged = False
-    delta = np.inf
+    # per instance, written when its row stops
+    positions = np.empty((batch, n))
+    sweeps_used = np.zeros(batch, dtype=int)
+    final_delta = np.empty(batch)
+    converged = np.zeros(batch, dtype=bool)
+    diverged = np.zeros(batch, dtype=bool)
+
+    def stop(stopped, status, reported):
+        """Record the rows in stopped as ended with status, reporting their rows of reported."""
+        index = rows[stopped]
+        status[index] = True
+        positions[index] = reported[stopped]
+        sweeps_used[index] = total
+        final_delta[index] = delta[stopped]
+
+    rows = np.arange(batch)  # the instance of each row still in the stack
+    delta = np.full(batch, np.inf)
     total = 0
-    avg_accum = np.zeros(n)
+    avg_accum = np.zeros((batch, n))
     avg_count = 0
-    while total < config.max_sweeps:
+    while rows.size and total < config.max_sweeps:
         beta = ladder[min(total, ramp_sweeps)]
-        m_u, chi_u = period_sweep(returns, variances, channel, m_w, chi_w, m_u,
+        m_u, chi_u = period_sweep(stack, variances, channel, m_w, chi_w, m_u,
                                   beta, config.damping)
-        swept, chi_w = asset_sweep(returns, variances, m_w, m_u, chi_u, config.damping)
-        if not float(swept @ swept) / n <= DIVERGENCE_THRESHOLD:  # NaN fails too
-            diverged = True
-            break
+        swept, chi_w = asset_sweep(stack, variances, m_w, m_u, chi_u, config.damping)
+        squares = np.vecdot(swept, swept)
+        # the largest overlap is that of the largest square sum; a NaN fails too
+        if not np.maximum.reduce(squares) / n <= DIVERGENCE_THRESHOLD:
+            blown = ~(squares / n <= DIVERGENCE_THRESHOLD)
+            stop(blown, diverged, m_w)
+            stack, variances, rows, m_w, swept, chi_w, m_u, delta, avg_accum = _keep(
+                ~blown, stack, rows, m_w, swept, chi_w, m_u, delta, avg_accum)
+            if not rows.size:
+                break
         if max_sum:
             # the max-sum variances have no scale of their own: on small
             # instances chi_w drifts to 1e9 and beyond, where the budget
             # closure keeps only a few digits, so re-impose sum m_w = N
-            swept += (n - swept.sum()) / n
+            swept += (n - np.add.reduce(swept, axis=-1, keepdims=True)) / n
         total += 1
-        delta = float(np.max(np.abs(swept - m_w) / np.maximum(1.0, np.abs(swept))))
+        delta = np.maximum.reduce(np.abs(swept - m_w) / np.maximum(1.0, np.abs(swept)), axis=-1)
         m_w = swept
         if total > ramp_sweeps:
-            if delta < config.tol:
-                converged = True
-                break
+            if np.minimum.reduce(delta) < config.tol:
+                done = delta < config.tol
+                stop(done, converged, m_w)
+                stack, variances, rows, m_w, chi_w, m_u, delta, avg_accum = _keep(
+                    ~done, stack, rows, m_w, chi_w, m_u, delta, avg_accum)
             if burn_in is not None and total - ramp_sweeps > burn_in:
                 avg_accum += m_w
                 avg_count += 1
+    # the rows left ran out of sweeps
+    positions[rows] = m_w if avg_count == 0 else avg_accum / avg_count
+    sweeps_used[rows] = total
+    final_delta[rows] = delta
 
-    if converged or diverged or avg_count == 0:
-        positions = m_w
-    else:
-        positions = avg_accum / avg_count
-    portfolio = Portfolio(positions=positions)
-    q_hat, eps_hat = observables(portfolio, returns, model)
-    diagnostics = Diagnostics(
-        q_hat=q_hat,
-        eps_hat=eps_hat,
-        converged=converged,
-        diverged=diverged,
-        sweeps_used=total,
-        final_delta=delta,
-    )
-    return portfolio, diagnostics
+    results = []
+    for i, returns in enumerate(instances):
+        portfolio = Portfolio(positions=positions[i])
+        q_hat, eps_hat = observables(portfolio, returns, model)
+        diagnostics = Diagnostics(
+            q_hat=q_hat,
+            eps_hat=eps_hat,
+            converged=bool(converged[i]),
+            diverged=bool(diverged[i]),
+            sweeps_used=int(sweeps_used[i]),
+            final_delta=float(final_delta[i]),
+        )
+        results.append((portfolio, diagnostics))
+    return results

@@ -10,6 +10,14 @@ class SingularInstanceError(ValueError):
     """The period correlation matrix is numerically singular (alpha <= 1 or degenerate data)."""
 
 
+def require_periods(n_assets: int, n_periods: int) -> None:
+    """Raise SingularInstanceError when there are fewer periods than assets."""
+    if n_periods < n_assets:
+        raise SingularInstanceError(
+            f"need at least as many periods as assets, got p={n_periods} < N={n_assets}"
+        )
+
+
 def exact_mean_variance(returns: ReturnSet) -> Portfolio:
     """Closed-form minimum-variance portfolio N*(XX^T)^{-1}e / (e^T (XX^T)^{-1} e).
 
@@ -18,10 +26,7 @@ def exact_mean_variance(returns: ReturnSet) -> Portfolio:
     to 1e-10 so ill-conditioning cannot pass silently.
     """
     n = returns.n_assets
-    if returns.n_periods < n:
-        raise SingularInstanceError(
-            f"need at least as many periods as assets, got p={returns.n_periods} < N={n}"
-        )
+    require_periods(n, returns.n_periods)
     x = returns.entries
     correlation = x @ x.T
     eigenvalues = np.linalg.eigvalsh(correlation)  # ascending; cond = max/min for PSD

@@ -8,9 +8,13 @@ import sys
 import numpy as np
 import pytest
 
-from bpfolio import theory
+from bpfolio import cli, engine, theory
 from bpfolio.cli import SWEEP_CSV_HEADER, _replica_columns, main, run_sweep
 from bpfolio.model import ABSOLUTE_DEVIATION, MEAN_VARIANCE, BpConfig, generic_model
+
+
+def _no_solve(*args, **kwargs):
+    raise AssertionError("no instance may be solved")
 
 
 def run_json(capsys, argv):
@@ -286,6 +290,34 @@ class TestSweepCommand:
         # the csv rounds to 10 significant digits
         assert q_mean(pair) == pytest.approx(expected, rel=1e-9)
 
+    @pytest.mark.parametrize("model", [MEAN_VARIANCE, ABSOLUTE_DEVIATION], ids=["mv", "ad"])
+    def test_csv_does_not_depend_on_the_batch_size(self, monkeypatch, model):
+        # alpha 2 at 10 assets: 20 periods, 1600 bytes of returns per instance
+        whole = run_sweep(model, [2.0], 10, 10, 3)
+        batches = []
+        solve_batch = engine.solve_batch
+
+        def counted(instances, *args):
+            batches.append(len(instances))
+            return solve_batch(instances, *args)
+
+        monkeypatch.setattr(engine, "solve_batch", counted)
+        monkeypatch.setattr(cli, "BATCH_BYTES", 3 * 1600 + 8)
+        assert run_sweep(model, [2.0], 10, 10, 3) == whole
+        assert batches == [3, 3, 3, 1]
+
+    @pytest.mark.parametrize("n_assets, trials, message", [
+        (0, 2, "need at least 2 assets, got 0"),
+        (1, 2, "need at least 2 assets, got 1"),
+        (5, 0, "trials must be at least 1, got 0"),
+        (5, -3, "trials must be at least 1, got -3"),
+    ])
+    def test_library_rejects_too_few_assets_or_trials(self, monkeypatch, n_assets, trials,
+                                                      message):
+        monkeypatch.setattr(engine, "solve_batch", _no_solve)
+        with pytest.raises(ValueError, match=message):
+            run_sweep(MEAN_VARIANCE, [2.0], n_assets, trials, 0)
+
 
 class TestTheoryCommand:
     def test_spectral_moments_golden(self, capsys):
@@ -406,12 +438,22 @@ class TestKyCommand:
         assert main(["ky", "--n", "5", "--p", "10", "--trials", "-3"]) == 1
 
     def test_random_mode_rejects_fewer_periods_than_assets(self, capsys):
-        # the mean-variance optimum needs p >= N, checked on every trial
+        # the mean-variance optimum needs p >= N, checked before any trial
         assert main(["ky", "--n", "20", "--p", "10", "--trials", "2"]) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == ("bpfolio: error: need at least as many periods as assets, "
                                 "got p=10 < N=20\n")
+
+    @pytest.mark.parametrize("n, p, message", [
+        ("20", "10", "need at least as many periods as assets, got p=10 < N=20"),
+        ("20", "0", "need at least 1 period, got 0"),
+        ("1", "0", "need at least 2 assets, got 1"),
+    ])
+    def test_bad_shape_rejected_before_any_solve(self, capsys, monkeypatch, n, p, message):
+        monkeypatch.setattr(engine, "solve_batch", _no_solve)
+        assert main(["ky", "--n", n, "--p", p, "--trials", "2"]) == 1
+        assert capsys.readouterr().err == f"bpfolio: error: {message}\n"
 
 
 def test_import_leaves_integrate_and_optimize_unloaded():

@@ -1,11 +1,14 @@
 """Tests for the message-passing engine: sweep algebra, solve behavior, invariants."""
+import dataclasses
+import inspect
 import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from bpfolio import engine
 from bpfolio.channels import channel_mean_variance
 from bpfolio.engine import (
     AD_BETA_TOP,
@@ -23,6 +26,7 @@ from bpfolio.engine import (
     observables,
     period_sweep,
     solve,
+    solve_batch,
     zero_temperature,
 )
 from bpfolio.model import (
@@ -414,7 +418,7 @@ class TestSolveAbsoluteDeviationProperties:
     def test_diverged_clip_run_falls_back_up_the_ladder(self):
         config = default_config(ABSOLUTE_DEVIATION)
         x = next(x for x in few_asset_draws()
-                 if _iterate(ReturnSet(x), ABSOLUTE_DEVIATION, config, max_sum=True)[1].diverged)
+                 if _iterate([ReturnSet(x)], ABSOLUTE_DEVIATION, config, max_sum=True)[0][1].diverged)
         _, diag = solve(ReturnSet(x), ABSOLUTE_DEVIATION)
         # past the 2562 rungs of the ladder to 2^20, so past the clip's budget
         # of 1500 too: the fallback runs with the ladder's own budget
@@ -455,7 +459,7 @@ class TestSolveDiagnostics:
         # the threshold and on which the budget closure (and, for the clip,
         # the projection) holds sum m_w = N
         config = default_config(ABSOLUTE_DEVIATION)
-        runs = [_iterate(ReturnSet(x), ABSOLUTE_DEVIATION, config, max_sum=True)
+        runs = [_iterate([ReturnSet(x)], ABSOLUTE_DEVIATION, config, max_sum=True)[0]
                 for x in few_asset_draws()]
         runs = [(port, diag) for port, diag in runs if diag.diverged]
         assert runs
@@ -468,3 +472,100 @@ class TestSolveDiagnostics:
             assert np.all(np.isfinite(port.positions))
             assert abs(port.budget_gap()) <= 1e-9 * port.n_assets
             assert diag.q_hat <= DIVERGENCE_THRESHOLD
+
+
+def _bits(result):
+    """Everything a solve reports, as bytes and exact values."""
+    portfolio, diagnostics = result
+    values = dataclasses.astuple(diagnostics)
+    return (portfolio.positions.tobytes(),
+            np.array([v for v in values if isinstance(v, float)]).tobytes(),
+            [v for v in values if not isinstance(v, float)])
+
+
+# the default mv solve, the default (zero-temperature) ad solve and an ad solve
+# annealed to beta 4
+BATCH_MODELS = {"mv": (MEAN_VARIANCE, None), "ad": (ABSOLUTE_DEVIATION, None),
+                "ad-beta-4": (ABSOLUTE_DEVIATION, 4.0)}
+
+
+class TestSolveBatch:
+    """An instance's result does not depend on the batch it is solved in."""
+
+    @settings(max_examples=10, deadline=None, derandomize=True)
+    @given(seed=st.integers(0, 2**32 - 4),
+           shape=st.integers(2, 24).flatmap(
+               lambda n: st.tuples(st.just(n), st.integers(n - 1, 3 * n))),
+           model=st.sampled_from(sorted(BATCH_MODELS)))
+    # p = N - 1 < N: the mv runs diverge; N <= 16: per-edge variances
+    @example(seed=0, shape=(20, 19), model="mv")
+    @example(seed=5, shape=(8, 7), model="ad")
+    @example(seed=1, shape=(12, 30), model="ad-beta-4")
+    def test_each_instance_bitwise_as_alone(self, seed, shape, model):
+        cost_model, beta = BATCH_MODELS[model]
+        config = default_config(cost_model, beta)
+        instances = [generate_returns(*shape, seed + i) for i in range(3)]
+        together = solve_batch(instances, cost_model, config)
+        for returns, result in zip(instances, together):
+            assert _bits(result) == _bits(solve(returns, cost_model, config))
+
+    def test_zero_temperature_fallback_bitwise_as_alone(self):
+        # these 3 x 12 draws end one zero-temperature run diverged, re-solved
+        # on the ladder, and two after their 1500 sweeps of the clip
+        instances = [ReturnSet(x) for x in few_asset_draws() if x.shape == (3, 12)]
+        together = solve_batch(instances, ABSOLUTE_DEVIATION)
+        assert sorted(d.sweeps_used for _, d in together) == [1500, 1500, 3463]
+        for returns, result in zip(instances, together):
+            assert _bits(result) == _bits(solve(returns, ABSOLUTE_DEVIATION))
+
+    def test_single_instance_is_stacked_without_a_copy(self, monkeypatch):
+        returns = generate_returns(20, 40, 0)
+        seen = []
+        original = engine.period_sweep
+
+        def recording(stack, *args):
+            seen.append(stack.entries)
+            return original(stack, *args)
+
+        monkeypatch.setattr(engine, "period_sweep", recording)
+        solve(returns, MEAN_VARIANCE, BpConfig(max_sweeps=2))
+        assert all(np.shares_memory(entries, returns.entries) for entries in seen)
+
+    def test_empty_batch(self):
+        assert solve_batch([], MEAN_VARIANCE) == []
+
+
+class TestTracedNames:
+    """perfbench/tracer.py's install replaces these engine attributes, and
+    traced runs count sweeps and channel calls through them."""
+
+    def test_wrapped_functions_keep_their_signatures(self):
+        expected = {
+            "solve": ["returns", "model", "config"],
+            "period_sweep": ["returns", "variances", "channel", "m_w", "chi_w", "m_u",
+                             "beta", "damping"],
+            "asset_sweep": ["returns", "variances", "m_w", "m_u", "chi_u", "damping"],
+            "channel_for": ["model"],
+        }
+        for name, parameters in expected.items():
+            assert list(inspect.signature(getattr(engine, name)).parameters) == parameters
+
+    def test_batched_iteration_calls_the_module_globals(self, monkeypatch):
+        calls = []
+        period_sweep_, channel_for_ = engine.period_sweep, engine.channel_for
+
+        def counted_sweep(*args):
+            calls.append("period_sweep")
+            return period_sweep_(*args)
+
+        def counted_channel_for(model):
+            calls.append("channel_for")
+            return channel_for_(model)
+
+        monkeypatch.setattr(engine, "period_sweep", counted_sweep)
+        monkeypatch.setattr(engine, "channel_for", counted_channel_for)
+        instances = [generate_returns(6, 12, seed) for seed in range(3)]
+        results = solve_batch(instances, MEAN_VARIANCE, BpConfig(max_sweeps=5))
+        # one stacked sweep per sweep of the batch, not one per instance
+        assert calls == ["channel_for"] + ["period_sweep"] * 5
+        assert [diagnostics.sweeps_used for _, diagnostics in results] == [5, 5, 5]
