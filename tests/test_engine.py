@@ -418,7 +418,8 @@ class TestSolveAbsoluteDeviationProperties:
     def test_diverged_clip_run_falls_back_up_the_ladder(self):
         config = default_config(ABSOLUTE_DEVIATION)
         x = next(x for x in few_asset_draws()
-                 if _iterate([ReturnSet(x)], ABSOLUTE_DEVIATION, config, max_sum=True)[0][1].diverged)
+                 if _iterate([ReturnSet(x)], ABSOLUTE_DEVIATION, config,
+                             max_sum=True)[0][1].diverged)
         _, diag = solve(ReturnSet(x), ABSOLUTE_DEVIATION)
         # past the 2562 rungs of the ladder to 2^20, so past the clip's budget
         # of 1500 too: the fallback runs with the ladder's own budget
@@ -497,7 +498,9 @@ class TestSolveBatch:
            shape=st.integers(2, 24).flatmap(
                lambda n: st.tuples(st.just(n), st.integers(n - 1, 3 * n))),
            model=st.sampled_from(sorted(BATCH_MODELS)))
-    # p = N - 1 < N: the mv runs diverge; N <= 16: per-edge variances
+    # mv at p = N - 1 diverges; ad on 8 x 7 diverges on the clip and again on
+    # the ladder it falls back to; ad at beta 4 on 12 x 30 converges; the last
+    # two take per-edge variances (N <= 16)
     @example(seed=0, shape=(20, 19), model="mv")
     @example(seed=5, shape=(8, 7), model="ad")
     @example(seed=1, shape=(12, 30), model="ad-beta-4")
@@ -510,8 +513,8 @@ class TestSolveBatch:
             assert _bits(result) == _bits(solve(returns, cost_model, config))
 
     def test_zero_temperature_fallback_bitwise_as_alone(self):
-        # these 3 x 12 draws end one zero-temperature run diverged, re-solved
-        # on the ladder, and two after their 1500 sweeps of the clip
+        # of these 3 x 12 draws, two run their 1500 sweeps of the clip and one
+        # diverges there, falls back to the ladder and diverges at sweep 3463
         instances = [ReturnSet(x) for x in few_asset_draws() if x.shape == (3, 12)]
         together = solve_batch(instances, ABSOLUTE_DEVIATION)
         assert sorted(d.sweeps_used for _, d in together) == [1500, 1500, 3463]
