@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import argparse
 import ast
+import contextlib
 import dataclasses
 import json
 import math
@@ -13,7 +14,7 @@ import tempfile
 
 import numpy as np
 
-from . import engine, oracles, theory
+from . import channels, engine, oracles, theory
 from .model import (
     ABSOLUTE_DEVIATION,
     MEAN_VARIANCE,
@@ -176,6 +177,20 @@ def _cost_from_expression(expression: str):
 _MODELS = {"mv": MEAN_VARIANCE, "ad": ABSOLUTE_DEVIATION}
 
 
+@contextlib.contextmanager
+def _user_input():
+    """Re-raise a ValueError from inside as ReturnsParseError, the CLI's usage error.
+
+    Wraps only calls whose ValueErrors all come from checking values the user
+    gave: ReturnSet and generate_returns, BpConfig, oracles.require_periods and
+    theory's functions. Any other ValueError is a fault, and main lets it through.
+    """
+    try:
+        yield
+    except ValueError as exc:
+        raise ReturnsParseError(str(exc)) from None
+
+
 def _model_from_args(args) -> CostModel:
     if args.model in _MODELS:
         return _MODELS[args.model]
@@ -187,20 +202,23 @@ def _model_from_args(args) -> CostModel:
 def _config_from_args(args, model: CostModel):
     overrides = {name: getattr(args, name) for name in ("damping", "tol", "max_sweeps")
                  if getattr(args, name) is not None}
-    return dataclasses.replace(engine.default_config(model, args.beta), **overrides)
+    with _user_input():
+        return dataclasses.replace(engine.default_config(model, args.beta), **overrides)
 
 
 def _load_instance(args) -> tuple[ReturnSet, int | None]:
     if args.input is not None:
         if args.n is None:
             raise ReturnsParseError("--input requires --n (number of asset rows)")
-        return load_returns(args.input, args.n, center=args.center), None
+        with _user_input():
+            return load_returns(args.input, args.n, center=args.center), None
     if not args.random:
         raise ReturnsParseError("choose an input: --input FILE or --random")
     if args.n is None or args.p is None:
         raise ReturnsParseError("--random requires --n and --p")
     seed = _seed(args)
-    return generate_returns(args.n, args.p, seed), seed
+    with _user_input():
+        return generate_returns(args.n, args.p, seed), seed
 
 
 def cmd_solve(args) -> tuple[str, int]:
@@ -261,8 +279,9 @@ def _trials(model, n_assets, n_periods, trials, base_seed, config=None):
     # at least one instance; generate_returns names the error of an empty shape
     size = max(1, BATCH_BYTES // max(1, 8 * n_assets * n_periods))
     for start in range(0, trials, size):
-        batch = [generate_returns(n_assets, n_periods, base_seed + trial)
-                 for trial in range(start, min(start + size, trials))]
+        with _user_input():
+            batch = [generate_returns(n_assets, n_periods, base_seed + trial)
+                     for trial in range(start, min(start + size, trials))]
         for returns, (portfolio, diagnostics) in zip(
                 batch, engine.solve_batch(batch, model, config)):
             yield returns, portfolio, diagnostics
@@ -287,13 +306,15 @@ def run_sweep(model: CostModel, alphas, n_assets: int, trials: int, base_seed: i
     finite temperature, and its q reference is the replica fixed point at
     that beta, nan where that fixed point does not converge; its eps has no
     closed form and is reported nan. A generic cost has neither reference,
-    so both columns are nan. Fewer than 2 assets or 1 trial raise ValueError.
+    so both columns are nan. Fewer than 2 assets or 1 trial, or an invalid
+    beta, raise ReturnsParseError (a ValueError).
     """
     if n_assets < 2:
-        raise ValueError(f"need at least 2 assets, got {n_assets}")
+        raise ReturnsParseError(f"need at least 2 assets, got {n_assets}")
     if trials < 1:
-        raise ValueError(f"trials must be at least 1, got {trials}")
-    config = engine.default_config(model, beta)
+        raise ReturnsParseError(f"trials must be at least 1, got {trials}")
+    with _user_input():
+        config = engine.default_config(model, beta)
     if trials == 1:
         print("warning: trials=1 gives degenerate statistics; "
               "standard errors reported as 0", file=sys.stderr)
@@ -330,29 +351,30 @@ def cmd_sweep(args) -> tuple[str, int]:
 
 
 def cmd_theory(args) -> tuple[str, int]:
-    if args.which == "replica":
-        if args.model == "es":
-            raise ReturnsParseError(
-                "replica order parameters cover the mv and ad models; "
-                "expected shortfall has only the annealed formula")
-        model = _MODELS[args.model]
-        if model.kind == "mv":
-            solution = theory.rs_closed_form_mv(args.alpha, args.beta)
+    with _user_input():
+        if args.which == "replica":
+            if args.model == "es":
+                raise ReturnsParseError(
+                    "replica order parameters cover the mv and ad models; "
+                    "expected shortfall has only the annealed formula")
+            model = _MODELS[args.model]
+            if model.kind == "mv":
+                solution = theory.rs_closed_form_mv(args.alpha, args.beta)
+            else:
+                solution = theory.rs_fixed_point(args.alpha, args.beta, model,
+                                                 order=args.order)
+            record = dataclasses.asdict(solution)
+        elif args.which == "mp":
+            record = dataclasses.asdict(theory.marchenko_pastur(args.alpha))
         else:
-            solution = theory.rs_fixed_point(args.alpha, args.beta, model,
-                                             order=args.order)
-        record = dataclasses.asdict(solution)
-    elif args.which == "mp":
-        record = dataclasses.asdict(theory.marchenko_pastur(args.alpha))
-    else:
-        record = {
-            "model": args.model,
-            "alpha": args.alpha,
-            "s": args.s,
-            "gamma": args.gamma,
-            "value": theory.annealed_cost(args.model, args.alpha, args.s,
-                                          gamma=args.gamma),
-        }
+            record = {
+                "model": args.model,
+                "alpha": args.alpha,
+                "s": args.s,
+                "gamma": args.gamma,
+                "value": theory.annealed_cost(args.model, args.alpha, args.s,
+                                              gamma=args.gamma),
+            }
     return _json_text(record), EXIT_OK
 
 
@@ -379,7 +401,8 @@ def cmd_ky(args) -> tuple[str, int]:
     if args.trials < 1:
         raise ReturnsParseError("trials must be at least 1")
     if 1 <= args.p < args.n:  # below one period, generate_returns names the error
-        oracles.require_periods(args.n, args.p)
+        with _user_input():
+            oracles.require_periods(args.n, args.p)
     cosines, q_gaps = [], []
     for returns, w_ad, diagnostics in _trials(ABSOLUTE_DEVIATION, args.n, args.p,
                                               args.trials, _seed(args)):
@@ -471,7 +494,9 @@ def main(argv=None) -> int:
         text, code = args.handler(args)
         _emit(text, args.out)
         return code
-    except (theory.ReplicaConvergenceError, ValueError) as exc:
+    # errors in what the user gave; any other exception is a fault and shows its traceback
+    except (ReturnsParseError, channels.GenericChannelError,
+            theory.ReplicaConvergenceError) as exc:
         print(f"bpfolio: error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except OSError as exc:

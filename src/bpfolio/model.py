@@ -164,7 +164,8 @@ def generate_returns(n_assets: int, n_periods: int, seed: int) -> ReturnSet:
 
 
 class ReturnsParseError(ValueError):
-    """Malformed returns file; message carries the row/column location."""
+    """Malformed returns file, its message carrying the row/column location, or
+    another command-line value the CLI rejects as a usage error."""
 
 
 def load_returns(path: str, n_assets: int, center: bool = False) -> ReturnSet:

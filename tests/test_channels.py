@@ -5,6 +5,8 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from bpfolio.channels import (
+    _adaptive_moments,
+    _scan,
     channel_absolute_deviation,
     channel_absolute_deviation_max_sum,
     channel_for,
@@ -285,6 +287,96 @@ class TestGenericChannelRounding:
         assert sum(points) < 4000
         assert m_q == pytest.approx(m_c, rel=1e-11, abs=1e-11)
         assert chi_q == pytest.approx(chi_c, rel=1e-11, abs=1e-11)
+
+
+def adaptive_channel(h, chi_tilde, beta, cost, order=64):
+    """channel_generic with every element sent through the adaptive stage."""
+    h = np.atleast_1d(np.asarray(h, dtype=float))
+    chi_tilde = np.broadcast_to(np.asarray(chi_tilde, dtype=float), h.shape)
+    root = np.sqrt(chi_tilde)
+    grid, values = _scan(h, root, beta, cost, order)
+    mean, variance = _adaptive_moments(grid, values, root, h, beta, cost)
+    return mean / root, np.maximum((1.0 - variance) / chi_tilde, 0.0)
+
+
+def kink_cell_position(h, chi_tilde, z_kink):
+    """Where z_kink falls between two scan points, as a fraction of the step."""
+    grid, _ = _scan(np.array([h]), np.sqrt(np.array([chi_tilde])), 1.0, np.abs, 64)
+    return ((z_kink - grid[0, 0]) / (grid[0, 1] - grid[0, 0])) % 1.0
+
+
+HUBER = EVEN_COSTS["huber"]
+STAGED_COSTS = {**EVEN_COSTS, "quadratic": lambda u: 0.5 * u * u}
+# h = 0 makes the scan grid symmetric, so |u| = 1 at z = +-1/sqrt(chi) is a
+# cell midpoint when 1/sqrt(chi) is a whole number k of steps of 92/511
+MID_CELL_CHI = (511.0 / (92.0 * 3)) ** 2
+
+
+class TestGenericChannelStages:
+    """The trapezoid stage against the adaptive stage alone."""
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=60)
+    @given(points=st.lists(st.tuples(GENERIC_FIELDS, GENERIC_VARIANCES),
+                           min_size=1, max_size=6),
+           beta=GENERIC_BETAS, cost=st.sampled_from(sorted(STAGED_COSTS)))
+    def test_staged_matches_adaptive(self, points, beta, cost):
+        h, chi_tilde = (np.array(column) for column in zip(*points))
+        m, chi = channel_generic(h, chi_tilde, beta, STAGED_COSTS[cost])
+        m_a, chi_a = adaptive_channel(h, chi_tilde, beta, STAGED_COSTS[cost])
+        np.testing.assert_allclose(m, m_a, rtol=1e-10, atol=1e-10)
+        np.testing.assert_allclose(chi, chi_a, rtol=1e-10, atol=1e-10)
+
+    @pytest.mark.parametrize("chi_tilde", [0.01, 0.5, 2.0, 10.0])
+    @pytest.mark.parametrize("beta", [0.01, 0.1, 1.0, 10.0])
+    def test_mid_cell_kink_at_the_mode(self, chi_tilde, beta):
+        # the two trapezoid rules' leading errors tie for a kink at a cell
+        # midpoint, and at h = 0 the kink of |u| sits at z = 0, one such point
+        assert kink_cell_position(0.0, chi_tilde, 0.0) == pytest.approx(0.5, abs=1e-9)
+        m, chi = channel_generic(0.0, chi_tilde, beta, np.abs)
+        m_c, chi_c = channel_absolute_deviation(0.0, chi_tilde, beta)
+        assert m == pytest.approx(m_c, rel=1e-10, abs=1e-10)
+        assert chi == pytest.approx(chi_c, rel=1e-10, abs=1e-10)
+
+    @pytest.mark.parametrize("h, chi_tilde, z_kink", [
+        # |u| = 1 at z = -1, between scan points 255 and 256 of [-48, 46]
+        (2.0, 1.0, -1.0),
+        (0.0, MID_CELL_CHI, 1.0 / np.sqrt(MID_CELL_CHI)),
+    ], ids=["h=2", "h=0"])
+    @pytest.mark.parametrize("beta", [0.1, 1.0, 10.0])
+    def test_mid_cell_huber_kink(self, h, chi_tilde, z_kink, beta):
+        assert kink_cell_position(h, chi_tilde, z_kink) == pytest.approx(0.5, abs=1e-9)
+        m, chi = channel_generic(h, chi_tilde, beta, HUBER)
+        m_a, chi_a = adaptive_channel(h, chi_tilde, beta, HUBER)
+        assert m == pytest.approx(m_a[0], rel=1e-10, abs=1e-10)
+        assert chi == pytest.approx(chi_a[0], rel=1e-10, abs=1e-10)
+
+
+class TestGenericChannelCostCalls:
+    H = np.linspace(-3.0, 3.0, 16)
+    CHI = np.linspace(0.5, 2.0, 16)
+
+    @staticmethod
+    def counted(cost, sizes):
+        def call(u):
+            sizes.append(u.size)
+            return cost(u)
+        return call
+
+    def test_smooth_cost_is_done_by_the_scan(self):
+        sizes = []
+        m, chi = channel_generic(self.H, self.CHI, 1.0, self.counted(lambda u: 0.5 * u * u, sizes))
+        assert sizes == [16 * 8 * 64]
+        m_c, chi_c = channel_mean_variance(self.H, self.CHI, 1.0)
+        np.testing.assert_allclose(m, m_c, rtol=1e-11, atol=1e-11)
+        np.testing.assert_allclose(chi, chi_c, rtol=1e-11, atol=1e-11)
+
+    def test_kinked_cost_goes_through_the_adaptive_stage(self):
+        sizes = []
+        m, chi = channel_generic(self.H, self.CHI, 1.0, self.counted(np.abs, sizes))
+        assert len(sizes) > 1
+        m_a, chi_a = adaptive_channel(self.H, self.CHI, 1.0, np.abs)
+        assert np.array_equal(m, m_a)
+        assert np.array_equal(chi, chi_a)
 
 
 class TestGenericChannelProperties:

@@ -142,6 +142,30 @@ class TestSolveCommand:
         assert code == 1
         assert "tol" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("extra, message", [
+        # the constants are Python floats: 1e308*10 is inf and inf*0 is nan, quietly
+        (["--cost-expr", "u**2/2 + 1e308*10*0"], "cost function is not finite at u="),
+        (["--cost-expr", "u**2/2", "--order", "8"],
+         "generic channel order must be in [16, 256], got 8"),
+    ])
+    def test_generic_channel_input_errors_are_usage_errors(self, capsys, extra, message):
+        code = main(["solve", "--model", "generic", *extra, "--random", "--n", "2", "--p", "8"])
+        assert code == 1
+        assert capsys.readouterr().err.startswith(f"bpfolio: error: {message}")
+
+    @pytest.mark.parametrize("argv", [
+        ["solve", "--model", "mv", "--random", "--n", "4", "--p", "8"],
+        ["sweep", "--model", "mv", "--alphas", "2", "--n", "4", "--trials", "2"],
+    ])
+    def test_internal_value_error_is_not_a_usage_error(self, capsys, monkeypatch, argv):
+        def broken(*args, **kwargs):
+            raise ValueError("an engine fault")
+
+        monkeypatch.setattr(engine, "solve_batch", broken)
+        with pytest.raises(ValueError, match="an engine fault"):
+            main(argv)
+        assert capsys.readouterr().err == ""
+
     def test_generic_expression_matches_builtin_quadratic(self, capsys):
         code_mv, record_mv = run_json(capsys, [
             "solve", "--model", "mv", "--random", "--n", "6", "--p", "18",
