@@ -182,8 +182,9 @@ def _user_input():
     """Re-raise a ValueError from inside as ReturnsParseError, the CLI's usage error.
 
     Wraps only calls whose ValueErrors all come from checking values the user
-    gave: ReturnSet and generate_returns, BpConfig, oracles.require_periods and
-    theory's functions. Any other ValueError is a fault, and main lets it through.
+    gave: load_returns and generate_returns (with ReturnSet), BpConfig,
+    oracles.require_periods and theory's functions. Any other ValueError is a
+    fault, and main lets it through.
     """
     try:
         yield
