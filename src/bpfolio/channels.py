@@ -315,16 +315,17 @@ def _trapezoid_moments(grid, values):
     rules = np.zeros((grid.shape[1], 2))
     rules[:, 0] = 1.0
     rules[::2, 1] = 2.0
-    sums = np.stack([w, dw, d * dw]) @ rules
-    fine, coarse = sums[..., 0], sums[..., 1]
-    offset = fine[1] / fine[0]  # fine[0] >= 1, from the peak itself
-    variance = fine[2] / fine[0] - offset * offset
-    # a peak narrower than the step can leave coarse[0] = 0; the NaNs that
+    # each moment's fine and coarse sums; three products beat one on a stack
+    (z0, z0_coarse), (z1, z1_coarse), (z2, z2_coarse) = (
+        (moment @ rules).T for moment in (w, dw, d * dw))
+    offset = z1 / z0  # z0 >= 1, from the peak itself
+    variance = z2 / z0 - offset * offset
+    # a peak narrower than the step can leave z0_coarse = 0; the NaNs that
     # gives fail every comparison below
     with np.errstate(divide="ignore", invalid="ignore"):
-        offset_coarse = coarse[1] / coarse[0]
-        variance_coarse = coarse[2] / coarse[0] - offset_coarse * offset_coarse
-    accepted = ((np.abs(fine[0] - coarse[0]) <= _TRAPEZOID_TOL * fine[0])
+        offset_coarse = z1_coarse / z0_coarse
+        variance_coarse = z2_coarse / z0_coarse - offset_coarse * offset_coarse
+    accepted = ((np.abs(z0 - z0_coarse) <= _TRAPEZOID_TOL * z0)
                 & (np.abs(offset - offset_coarse) <= _TRAPEZOID_TOL)
                 & (np.abs(variance - variance_coarse) <= _TRAPEZOID_TOL))
     return z_hat + offset, variance, accepted
