@@ -63,8 +63,8 @@ class TestSolveCommand:
         path = tmp_path / "returns.csv"
         path.write_bytes(b"1,2\n\xff,3\n")
         assert main(["solve", "--model", "mv", "--input", str(path), "--n", "2"]) == 1
-        assert capsys.readouterr().err.startswith(
-            "bpfolio: error: 'utf-8' codec can't decode byte 0xff")
+        assert capsys.readouterr().err == (
+            "bpfolio: error: non-UTF-8 cell at row 2, column 1: b'\\xff'\n")
 
     def test_no_input_source_is_usage_error(self, capsys):
         assert main(["solve", "--model", "mv"]) == 1

@@ -5,9 +5,8 @@ import tempfile
 from unittest import mock
 
 import numpy as np
-import orjson
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from bpfolio import model
@@ -222,7 +221,9 @@ class TestReturnsCsv:
             loaded = load_returns(str(path), 2)
             assert np.array_equal(loaded.entries, [[1.0, 2.0], [3.0, 4.0]])
 
-    @settings(max_examples=40, deadline=None, derandomize=True)
+    # run by TestReturnsCsvSplit too, which expects the same of every example
+    @settings(max_examples=40, deadline=None, derandomize=True,
+              suppress_health_check=[HealthCheck.differing_executors])
     # {:.17g} writes -0.0 as a bare -0, which orjson reads as the integer 0
     @example(values=[[-0.0, 1.0, 0.0], [2.0, -0.0, -0.0]], fmt="{:.17g}", blank_after=1,
              newline="\n")
@@ -240,21 +241,16 @@ class TestReturnsCsv:
         lines = [",".join(fmt.format(v) for v in row) for row in values]
         expected = np.array([[float(cell) for cell in line.split(",")] for line in lines])
         lines.insert(blank_after, "")
-        read_rows = []
-
-        def counting_loads(data, loads=orjson.loads):
-            row = loads(data)
-            read_rows.append(row)
-            return row
-
         with tempfile.TemporaryDirectory() as folder:
             path = os.path.join(folder, "returns.csv")
             with open(path, "w", encoding="utf-8", newline="") as fh:
                 fh.write(newline.join(lines) + newline)
-            with mock.patch.object(orjson, "loads", counting_loads):
+            # every row of these files loads through orjson, none through
+            # float(); a forked child that reaches float() ends without its
+            # rows, and the load fails
+            with mock.patch.object(model, "_float_row",
+                                   side_effect=AssertionError("read with float()")):
                 loaded = load_returns(path, len(values)).entries
-        # every row of these files loads through orjson, none through float()
-        assert len(read_rows) == len(values)
         assert loaded.shape == expected.shape == (len(values), 3)
         assert np.array_equal(loaded.view(np.int64), expected.view(np.int64))
 
@@ -323,8 +319,12 @@ class TestReturnsCsv:
             ("1,2\n\ninf,4\n", "non-finite cell at row 3, column 1: 'inf'"),
             ("1,-inf\n3,4\n", "non-finite cell at row 1, column 2: '-inf'"),
             ("1,2\n3, 1e999\n", "non-finite cell at row 2, column 2: ' 1e999'"),
+            # bytes that are not UTF-8, shown as they are
+            (b"1,2\n3,\xff\n", "non-UTF-8 cell at row 2, column 2: b'\\xff'"),
+            (b"1,2\n\xe2\x82,4\n", "non-UTF-8 cell at row 2, column 1: b'\\xe2\\x82'"),
+            (b"1,2\n3,4\xff5\n", "non-UTF-8 cell at row 2, column 2: b'4\\xff5'"),
         ]:
-            path.write_text(text)
+            path.write_bytes(text if isinstance(text, bytes) else text.encode())
             with pytest.raises(ReturnsParseError) as caught:
                 load_returns(str(path), 2)
             assert str(caught.value) == message
@@ -399,3 +399,204 @@ class TestReturnsCsv:
         assert math.isclose(
             float(loaded.entries.mean()), float(rs.entries.mean()), rel_tol=0, abs_tol=0
         )
+
+
+# the two-part read forks a child, and only where a second core may run it
+two_cores = pytest.mark.skipif(
+    not hasattr(os, "fork") or len(getattr(os, "sched_getaffinity", lambda pid: ())(0)) < 2,
+    reason="the two-part read needs os.fork and two usable cores")
+
+
+@two_cores
+class TestReturnsCsvSplit(TestReturnsCsv):
+    """Every case of TestReturnsCsv again, each regular file read in two parts
+    at once: the rows up to the middle line end here, the rest in a child."""
+
+    @pytest.fixture(autouse=True, scope="class")
+    def split_every_file(self):
+        with (mock.patch.object(model, "_SPLIT_BYTES", 0),
+              mock.patch.object(os, "fork", wraps=os.fork) as fork):
+            yield
+        assert fork.call_count > 0
+
+
+def load_outcome(path, n_assets, split_bytes):
+    """The bytes and shape load_returns gives, or its error's type and message."""
+    with mock.patch.object(model, "_SPLIT_BYTES", split_bytes):
+        try:
+            entries = load_returns(str(path), n_assets).entries
+        except ValueError as error:
+            return type(error), str(error)
+    return entries.shape, entries.tobytes()
+
+
+# cells of every path: shortest reprs and 17 digits for orjson, -0 and zeros
+# it reads again with float(), and cells only float() reads
+CSV_CELLS = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+    st.floats(allow_nan=False, allow_infinity=False).map("{:.17g}".format),
+    st.sampled_from(["-0", "0", "-0.0", "0e0", ".5", "1.", "+1", "1_0", " 2.5 ", "-.25", "01"]),
+)
+# a cell that spoils its row: malformed, non-finite, not UTF-8, or one
+# that adds a column
+BAD_CELLS = ["x", "", "true", "nan", "1e400", "-inf", b"\xff", "1,2"]
+
+
+@two_cores
+class TestTwoPartRead:
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    # a bad cell in the first row, which this process reads, and in the last,
+    # which the child reads
+    @example(rows=[["1", "-0", ".5"]] * 6, ends=[b"\n"], blanks=[], bad=(0, 1, "x"), extra=0)
+    @example(rows=[["1", "-0", ".5"]] * 6, ends=[b"\n"], blanks=[], bad=(5, 1, "x"), extra=0)
+    @example(rows=[["1", "-0", ".5"]] * 6, ends=[b"\r\n"], blanks=[2], bad=(5, 2, b"\xff"),
+             extra=0)
+    # the child's first row, ragged against the rows before it
+    @example(rows=[["1", "-0", ".5"]] * 6, ends=[b"\n"], blanks=[], bad=(4, 0, "1,2"), extra=0)
+    @given(
+        rows=st.lists(st.lists(CSV_CELLS, min_size=3, max_size=3), min_size=2, max_size=10),
+        ends=st.lists(st.sampled_from([b"\n", b"\r\n", b"\r"]), min_size=1, max_size=12),
+        blanks=st.lists(st.integers(0, 10), max_size=3),
+        bad=st.none() | st.tuples(st.integers(0, 9), st.integers(0, 2),
+                                  st.sampled_from(BAD_CELLS)),
+        extra=st.integers(-1, 1),
+    )
+    def test_split_read_matches_one_pass(self, rows, ends, blanks, bad, extra):
+        cells = [[cell.encode() for cell in row] for row in rows]
+        if bad is not None:
+            row, column, cell = bad
+            cells[row % len(cells)][column] = cell if isinstance(cell, bytes) else cell.encode()
+        lines = [b",".join(row) for row in cells]
+        for at in blanks:
+            lines.insert(at, b"  ")
+        text = b"".join(line + ends[i % len(ends)] for i, line in enumerate(lines))
+        with tempfile.TemporaryDirectory() as folder:
+            path = os.path.join(folder, "returns.csv")
+            with open(path, "wb") as fh:
+                fh.write(text)
+            n_assets = len(rows) + extra
+            one_pass = load_outcome(path, n_assets, 2 ** 62)
+            assert load_outcome(path, n_assets, 0) == one_pass
+
+    @pytest.mark.parametrize("text, message", [
+        # the child's first row is ragged against the rows before it, even
+        # when a later row of the child's part is ragged against it
+        ("1,2\n" * 4 + "1,2,3\n" + "1,2\n" * 3,
+         "ragged row at row 5: got 3 columns, expected 2"),
+        # the child's lines are counted on from this process's, blank ones included
+        ("1,2\n\n\r\n1,2\r1,2\n" + "1,2\n" * 3 + "1,x\n",
+         "non-numeric cell at row 9, column 2: 'x'"),
+        # the first fault in file order, though the child's part has one too
+        ("1,2\n1,x\n1,2\n1,2\n1,2\n1,2\n1,y\n",
+         "non-numeric cell at row 2, column 2: 'x'"),
+        # a row count other than n_assets counts the rows of both parts
+        ("1,2\n" * 9, "expected 8 asset rows, found 9"),
+        # rows only past the middle
+        ("\n" * 20 + "1,2\n" * 8, None),
+    ])
+    def test_faults_across_the_split(self, tmp_path, text, message):
+        path = tmp_path / "returns.csv"
+        path.write_text(text)
+        one_pass = load_outcome(path, 8, 2 ** 62)
+        with mock.patch.object(os, "fork", wraps=os.fork) as fork:
+            assert load_outcome(path, 8, 0) == one_pass
+        assert fork.call_count == 1
+        if message is not None:
+            assert one_pass == (ReturnsParseError, message)
+
+    def test_benchmark_sized_rows_bitwise(self, tmp_path):
+        rs = generate_returns(40, 300, 5)
+        path = tmp_path / "returns.csv"
+        save_returns(rs, str(path))
+        with mock.patch.object(model, "_SPLIT_BYTES", 0):
+            loaded = load_returns(str(path), 40)
+        assert np.array_equal(loaded.entries.view(np.int64), rs.entries.view(np.int64))
+
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd")
+    def test_no_process_or_descriptor_left(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(model, "_SPLIT_BYTES", 0)
+        # each half of 64 rows of 200 cells is 100 KB as doubles, more than a
+        # pipe holds, so the child is still writing when this process stops
+        row = ",".join(["1.5"] * 200)
+        path = tmp_path / "returns.csv"
+        descriptors = len(os.listdir("/proc/self/fd"))
+
+        class Injected(Exception):
+            pass
+
+        read_rows = model._read_rows
+
+        def interrupted(handle, start, end, n_assets):
+            part = read_rows(handle, start, end, n_assets)
+            if start == 0 and end is not None:  # this process's part of two
+                raise Injected
+            return part
+
+        for rows, error in [
+            ([row] * 128, None),
+            (["x"] + [row] * 127, "non-numeric cell at row 1, column 1: 'x'"),
+            ([row] * 127 + ["x"], "non-numeric cell at row 128, column 1: 'x'"),
+            ([row] * 128, Injected),
+        ]:
+            path.write_text("\n".join(rows) + "\n")
+            with mock.patch.object(os, "fork", wraps=os.fork) as fork:
+                if error is None:
+                    assert load_returns(str(path), 128).entries.shape == (128, 200)
+                elif error is Injected:
+                    with mock.patch.object(model, "_read_rows", interrupted), \
+                            pytest.raises(Injected):
+                        load_returns(str(path), 128)
+                else:
+                    with pytest.raises(ReturnsParseError, match=f"^{error}$"):
+                        load_returns(str(path), 128)
+            assert fork.call_count == 1
+            with pytest.raises(ChildProcessError):
+                os.waitpid(-1, os.WNOHANG)
+            assert len(os.listdir("/proc/self/fd")) == descriptors
+
+
+class TestOnePassRead:
+    @pytest.fixture(autouse=True)
+    def forbid_fork(self, monkeypatch):
+        def fork():
+            pytest.fail("os.fork called for a one-pass input")
+
+        monkeypatch.setattr(os, "fork", fork)
+
+    @pytest.fixture
+    def returns_file(self, tmp_path):
+        rs = generate_returns(9, 6, 4)
+        path = tmp_path / "returns.csv"
+        save_returns(rs, str(path))
+        return rs, path
+
+    def test_file_under_the_threshold(self, returns_file):
+        rs, path = returns_file
+        assert path.stat().st_size < model._SPLIT_BYTES
+        assert np.array_equal(load_returns(str(path), 9).entries, rs.entries)
+
+    @pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd")
+    def test_pipe(self, returns_file, monkeypatch):
+        monkeypatch.setattr(model, "_SPLIT_BYTES", 0)
+        rs, path = returns_file
+        read_end, write_end = os.pipe()
+        os.write(write_end, path.read_bytes())  # well inside the pipe buffer
+        os.close(write_end)
+        try:
+            loaded = load_returns(f"/dev/fd/{read_end}", 9)
+        finally:
+            os.close(read_end)
+        assert np.array_equal(loaded.entries, rs.entries)
+
+    def test_one_usable_core(self, returns_file, monkeypatch):
+        monkeypatch.setattr(model, "_SPLIT_BYTES", 0)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 1)
+        rs, path = returns_file
+        assert np.array_equal(load_returns(str(path), 9).entries, rs.entries)
+
+    def test_no_fork_on_the_platform(self, returns_file, monkeypatch):
+        monkeypatch.setattr(model, "_SPLIT_BYTES", 0)
+        monkeypatch.delattr(os, "fork")
+        rs, path = returns_file
+        assert np.array_equal(load_returns(str(path), 9).entries, rs.entries)
