@@ -504,12 +504,15 @@ class TestTwoPartRead:
         if message is not None:
             assert one_pass == (ReturnsParseError, message)
 
-    def test_benchmark_sized_rows_bitwise(self, tmp_path):
-        rs = generate_returns(40, 300, 5)
+    @pytest.mark.parametrize("first_rows", [1, 3, 1024])
+    def test_growing_arrays_join_bitwise(self, tmp_path, monkeypatch, first_rows):
+        # both parts grow their arrays, and this process's may hold spare rows
+        monkeypatch.setattr(model, "_FIRST_ROWS", first_rows)
+        monkeypatch.setattr(model, "_SPLIT_BYTES", 0)
+        rs = generate_returns(41, 30, 5)
         path = tmp_path / "returns.csv"
         save_returns(rs, str(path))
-        with mock.patch.object(model, "_SPLIT_BYTES", 0):
-            loaded = load_returns(str(path), 40)
+        loaded = load_returns(str(path), 41)
         assert np.array_equal(loaded.entries.view(np.int64), rs.entries.view(np.int64))
 
     @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd")
