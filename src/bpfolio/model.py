@@ -382,6 +382,9 @@ def _read_in_two(fh, split: int, n_assets: int) -> _Part:
                 pid = os.fork()
                 if pid == 0:
                     _send_rows(mapped, split, n_assets, read_end, write_end)
+            except OSError:
+                # no process to spare, as at a process limit: one pass, then
+                return _read_rows(fh, 0, None, n_assets)
             finally:
                 os.close(write_end)
             try:

@@ -598,6 +598,15 @@ class TestOnePassRead:
         rs, path = returns_file
         assert np.array_equal(load_returns(str(path), 9).entries, rs.entries)
 
+    def test_fork_refused(self, returns_file, monkeypatch):
+        def fork():
+            raise BlockingIOError(11, "Resource temporarily unavailable")
+
+        monkeypatch.setattr(model, "_SPLIT_BYTES", 0)
+        monkeypatch.setattr(os, "fork", fork)
+        rs, path = returns_file
+        assert np.array_equal(load_returns(str(path), 9).entries, rs.entries)
+
     def test_no_fork_on_the_platform(self, returns_file, monkeypatch):
         monkeypatch.setattr(model, "_SPLIT_BYTES", 0)
         monkeypatch.delattr(os, "fork")
