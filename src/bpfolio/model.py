@@ -219,8 +219,10 @@ def load_returns(path: str, n_assets: int, center: bool = False) -> ReturnSet:
 # rows first allocated for any input, file or pipe
 _FIRST_ROWS = 1024
 
-# the smallest regular file that is read in two parts at once
-_SPLIT_BYTES = 1 << 23
+# the smallest regular file that is read in two parts at once: about twice
+# the size at which the two parts began to beat one pass, 1-2 MiB for rows
+# of 250 and of 4000 cells on two free cores (BENCH_23.json, "loader_crossover")
+_SPLIT_BYTES = 1 << 22
 
 # bytes a row may hold once its ends are stripped: those of JSON numbers, the
 # comma, and blanks, which float() strips too. A row with any other byte is
@@ -353,7 +355,7 @@ def _split_point(fd: int) -> Optional[int]:
         return None
     cores = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
              else os.cpu_count() or 1)
-    if cores < 2:
+    if min(cores, _cpu_quota()) < 2:
         return None
     position = info.st_size // 2
     while block := os.pread(fd, 1 << 16, position):
@@ -364,6 +366,36 @@ def _split_point(fd: int) -> Optional[int]:
             return position if position < info.st_size else None
         position += len(block)
     return None
+
+
+def _cpu_quota(cgroups: str = "/proc/self/cgroup", root: str = "/sys/fs/cgroup") -> float:
+    """The CPU time this process's cgroups may use, in cores: the least quota
+    of cgroup v2 (cpu.max) or v1 (cpu.cfs_quota_us), inf without one or where
+    none can be read."""
+    quota = math.inf
+    try:
+        with open(cgroups) as fh:
+            groups = [line.rstrip("\n").split(":", 2) for line in fh]
+    except OSError:
+        return quota
+    for _, controllers, group in groups:
+        if not controllers:
+            files = [f"{root}{group}/cpu.max"]
+        elif "cpu" in controllers.split(","):
+            files = [f"{root}/cpu{group}/cpu.cfs_quota_us", f"{root}/cpu{group}/cpu.cfs_period_us"]
+        else:
+            continue
+        try:
+            words = []
+            for name in files:
+                with open(name) as fh:
+                    words += fh.read().split()
+            limit, period = words
+            if limit not in ("max", "-1"):
+                quota = min(quota, int(limit) / int(period))
+        except (OSError, ValueError):
+            pass  # no such file, as for the v2 group of a v1 cpu controller
+    return quota
 
 
 def _read_in_two(fh, split: int, n_assets: int) -> _Part:

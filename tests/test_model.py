@@ -401,20 +401,26 @@ class TestReturnsCsv:
         )
 
 
-# the two-part read forks a child, and only where a second core may run it
-two_cores = pytest.mark.skipif(
-    not hasattr(os, "fork") or len(getattr(os, "sched_getaffinity", lambda pid: ())(0)) < 2,
-    reason="the two-part read needs os.fork and two usable cores")
+# the two-part read forks a child
+can_fork = pytest.mark.skipif(not hasattr(os, "fork"), reason="the two-part read needs os.fork")
 
 
-@two_cores
+def two_usable_cores():
+    """Patches that let the two-part read run on a host with fewer usable
+    cores, where it is slower but gives the same result."""
+    return (mock.patch.object(os, "sched_getaffinity", lambda pid: {0, 1}, create=True),
+            mock.patch.object(model, "_cpu_quota", lambda: math.inf))
+
+
+@can_fork
 class TestReturnsCsvSplit(TestReturnsCsv):
     """Every case of TestReturnsCsv again, each regular file read in two parts
     at once: the rows up to the middle line end here, the rest in a child."""
 
     @pytest.fixture(autouse=True, scope="class")
     def split_every_file(self):
-        with (mock.patch.object(model, "_SPLIT_BYTES", 0),
+        affinity, quota = two_usable_cores()
+        with (affinity, quota, mock.patch.object(model, "_SPLIT_BYTES", 0),
               mock.patch.object(os, "fork", wraps=os.fork) as fork):
             yield
         assert fork.call_count > 0
@@ -442,8 +448,14 @@ CSV_CELLS = st.one_of(
 BAD_CELLS = ["x", "", "true", "nan", "1e400", "-inf", b"\xff", "1,2"]
 
 
-@two_cores
+@can_fork
 class TestTwoPartRead:
+    @pytest.fixture(autouse=True, scope="class")
+    def cores(self):
+        affinity, quota = two_usable_cores()
+        with affinity, quota:
+            yield
+
     @settings(max_examples=80, deadline=None, derandomize=True)
     # a bad cell in the first row, which this process reads, and in the last,
     # which the child reads
@@ -598,6 +610,13 @@ class TestOnePassRead:
         rs, path = returns_file
         assert np.array_equal(load_returns(str(path), 9).entries, rs.entries)
 
+    def test_cpu_quota_under_two_cores(self, returns_file, monkeypatch):
+        monkeypatch.setattr(model, "_SPLIT_BYTES", 0)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        monkeypatch.setattr(model, "_cpu_quota", lambda: 1.5)
+        rs, path = returns_file
+        assert np.array_equal(load_returns(str(path), 9).entries, rs.entries)
+
     def test_fork_refused(self, returns_file, monkeypatch):
         def fork():
             raise BlockingIOError(11, "Resource temporarily unavailable")
@@ -612,3 +631,44 @@ class TestOnePassRead:
         monkeypatch.delattr(os, "fork")
         rs, path = returns_file
         assert np.array_equal(load_returns(str(path), 9).entries, rs.entries)
+
+
+class TestCpuQuota:
+    @pytest.fixture
+    def cgroups(self, tmp_path):
+        """Writes a /proc/self/cgroup and the quota files under a cgroup root;
+        returns the quota _cpu_quota reads from them."""
+        def quota(lines, files):
+            (tmp_path / "cgroup").write_text("".join(line + "\n" for line in lines))
+            for name, text in files.items():
+                path = tmp_path / "root" / name
+                path.parent.mkdir(parents=True, exist_ok=True)
+                path.write_text(text + "\n")
+            return model._cpu_quota(str(tmp_path / "cgroup"), str(tmp_path / "root"))
+        return quota
+
+    def test_v2(self, cgroups):
+        assert cgroups(["0::/job"], {"job/cpu.max": "150000 100000"}) == 1.5
+
+    def test_v2_without_a_quota(self, cgroups):
+        assert cgroups(["0::/"], {"cpu.max": "max 100000"}) == math.inf
+
+    def test_v1(self, cgroups):
+        assert cgroups(["4:cpu,cpuacct:/job", "3:memory:/job", "0::/"], {
+            "cpu/job/cpu.cfs_quota_us": "50000", "cpu/job/cpu.cfs_period_us": "100000",
+        }) == 0.5
+
+    def test_v1_without_a_quota(self, cgroups):
+        assert cgroups(["1:cpu:/", "0::/"], {
+            "cpu/cpu.cfs_quota_us": "-1", "cpu/cpu.cfs_period_us": "100000",
+        }) == math.inf
+
+    def test_least_of_both(self, cgroups):
+        assert cgroups(["1:cpu:/", "0::/job"], {
+            "cpu/cpu.cfs_quota_us": "300000", "cpu/cpu.cfs_period_us": "100000",
+            "job/cpu.max": "250000 100000",
+        }) == 2.5
+
+    def test_nothing_to_read(self, cgroups, tmp_path):
+        assert cgroups(["0::/job", "1:cpu:/job"], {}) == math.inf
+        assert model._cpu_quota(str(tmp_path / "missing"), str(tmp_path)) == math.inf
