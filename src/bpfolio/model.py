@@ -185,9 +185,10 @@ def load_returns(path: str, n_assets: int, center: bool = False) -> ReturnSet:
     number, and so does a file with no rows or with a row count other than
     n_assets.
 
-    A regular file of at least _SPLIT_BYTES is read in two parts at once
-    where os.fork exists and this process may run on two cores or more: a
-    forked child reads the rows after the first line end at or past the
+    A regular file of at least _SPLIT_BYTES (8 MiB) is read in two parts at
+    once where os.fork exists and this process may run on two cores or more,
+    by its affinity mask and by its cgroup's CPU quota (_cpu_quota): a forked
+    child reads the rows after the first line end at or past the
     middle of the file and sends them back over a pipe, while this process
     reads the rows before it. The array, its bits and every message are
     those of the one-pass read, the first fault in file order included. A
@@ -219,10 +220,11 @@ def load_returns(path: str, n_assets: int, center: bool = False) -> ReturnSet:
 # rows first allocated for any input, file or pipe
 _FIRST_ROWS = 1024
 
-# the smallest regular file that is read in two parts at once: about twice
-# the size at which the two parts began to beat one pass, 1-2 MiB for rows
-# of 250 and of 4000 cells on two free cores (BENCH_23.json, "loader_crossover")
-_SPLIT_BYTES = 1 << 22
+# the smallest regular file that is read in two parts at once. Timed on rows
+# of 250 and of 4000 cells, the two parts began to beat one pass at 1-2 MiB,
+# and from 8 MiB they won every timing but those of one run in which the
+# second core was busy (BENCH_23.json, loader_crossover)
+_SPLIT_BYTES = 1 << 23
 
 # bytes a row may hold once its ends are stripped: those of JSON numbers, the
 # comma, and blanks, which float() strips too. A row with any other byte is

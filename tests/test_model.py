@@ -634,41 +634,27 @@ class TestOnePassRead:
 
 
 class TestCpuQuota:
-    @pytest.fixture
-    def cgroups(self, tmp_path):
-        """Writes a /proc/self/cgroup and the quota files under a cgroup root;
-        returns the quota _cpu_quota reads from them."""
-        def quota(lines, files):
-            (tmp_path / "cgroup").write_text("".join(line + "\n" for line in lines))
-            for name, text in files.items():
-                path = tmp_path / "root" / name
-                path.parent.mkdir(parents=True, exist_ok=True)
-                path.write_text(text + "\n")
-            return model._cpu_quota(str(tmp_path / "cgroup"), str(tmp_path / "root"))
-        return quota
+    @pytest.mark.parametrize("lines, files, quota", [
+        (["0::/job"], {"job/cpu.max": "150000 100000"}, 1.5),
+        (["0::/"], {"cpu.max": "max 100000"}, math.inf),
+        (["4:cpu,cpuacct:/job", "3:memory:/job", "0::/"],
+         {"cpu/job/cpu.cfs_quota_us": "50000", "cpu/job/cpu.cfs_period_us": "100000"}, 0.5),
+        (["1:cpu:/", "0::/"],
+         {"cpu/cpu.cfs_quota_us": "-1", "cpu/cpu.cfs_period_us": "100000"}, math.inf),
+        # the least of both hierarchies
+        (["1:cpu:/", "0::/job"],
+         {"cpu/cpu.cfs_quota_us": "300000", "cpu/cpu.cfs_period_us": "100000",
+          "job/cpu.max": "250000 100000"}, 2.5),
+        # no quota file to read
+        (["0::/job", "1:cpu:/job"], {}, math.inf),
+    ])
+    def test_quota_in_cores(self, tmp_path, lines, files, quota):
+        (tmp_path / "cgroup").write_text("".join(line + "\n" for line in lines))
+        for name, text in files.items():
+            path = tmp_path / "root" / name
+            path.parent.mkdir(parents=True, exist_ok=True)
+            path.write_text(text + "\n")
+        assert model._cpu_quota(str(tmp_path / "cgroup"), str(tmp_path / "root")) == quota
 
-    def test_v2(self, cgroups):
-        assert cgroups(["0::/job"], {"job/cpu.max": "150000 100000"}) == 1.5
-
-    def test_v2_without_a_quota(self, cgroups):
-        assert cgroups(["0::/"], {"cpu.max": "max 100000"}) == math.inf
-
-    def test_v1(self, cgroups):
-        assert cgroups(["4:cpu,cpuacct:/job", "3:memory:/job", "0::/"], {
-            "cpu/job/cpu.cfs_quota_us": "50000", "cpu/job/cpu.cfs_period_us": "100000",
-        }) == 0.5
-
-    def test_v1_without_a_quota(self, cgroups):
-        assert cgroups(["1:cpu:/", "0::/"], {
-            "cpu/cpu.cfs_quota_us": "-1", "cpu/cpu.cfs_period_us": "100000",
-        }) == math.inf
-
-    def test_least_of_both(self, cgroups):
-        assert cgroups(["1:cpu:/", "0::/job"], {
-            "cpu/cpu.cfs_quota_us": "300000", "cpu/cpu.cfs_period_us": "100000",
-            "job/cpu.max": "250000 100000",
-        }) == 2.5
-
-    def test_nothing_to_read(self, cgroups, tmp_path):
-        assert cgroups(["0::/job", "1:cpu:/job"], {}) == math.inf
+    def test_no_cgroup_file(self, tmp_path):
         assert model._cpu_quota(str(tmp_path / "missing"), str(tmp_path)) == math.inf
