@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import replace
-from typing import NamedTuple
 
 import numpy as np
 
@@ -105,36 +104,15 @@ def beta_ladder(model: CostModel, config: BpConfig) -> list[float]:
 EDGE_VARIANCE_MAX_ASSETS = 16
 
 
-class _Stack(NamedTuple):
-    """Instances of one shape stacked on a leading axis: entries is (B, N, p).
-
-    The sweeps and the cavity variances read only entries, n_assets and
-    n_periods, so they take a _Stack where they take a ReturnSet and act on
-    every instance at once. Their products over the stack are np.matvec and
-    np.vecdot, which make one BLAS call per instance, and the rest of their
-    arithmetic is elementwise or per instance, so each instance gets the
-    bits it gets alone, whatever else is in the stack."""
-
-    entries: np.ndarray
-
-    @property
-    def n_assets(self) -> int:
-        return self.entries.shape[-2]
-
-    @property
-    def n_periods(self) -> int:
-        return self.entries.shape[-1]
-
-
 class EdgeVariances:
     """Per-edge cavity variances, as message passing derives them:
     chi_tilde_u = (1/N) sum_k x_kmu^2 chi_wk and chi_tilde_w = (1/N) sum_mu
     x_kmu^2 chi_umu, each a dense pass over the stored N x p array x*x (one
     per instance of a stack)."""
 
-    def __init__(self, returns):
-        self.squares = returns.entries * returns.entries
-        self.n = returns.n_assets
+    def __init__(self, x: np.ndarray):
+        self.squares = x * x
+        self.n = x.shape[-2]
 
     def to_periods(self, chi_w: np.ndarray) -> np.ndarray:
         return np.matvec(self.squares.mT, chi_w) / self.n
@@ -152,9 +130,8 @@ class RankOneVariances:
     cost O(N + p) per instance, and x*x itself is never formed.
     """
 
-    def __init__(self, returns):
-        x = returns.entries
-        n, p = returns.n_assets, returns.n_periods
+    def __init__(self, x: np.ndarray):
+        n, p = x.shape[-2:]
         r = np.einsum("...kt,...kt->...k", x, x) / p
         self.col = np.einsum("...kt,...kt->...t", x, x) / n
         s = r.mean(axis=-1, keepdims=True)
@@ -168,38 +145,41 @@ class RankOneVariances:
         return self.row * np.vecdot(self.col, chi_u, keepdims=True)
 
 
-def cavity_variances(returns):
+def cavity_variances(x: np.ndarray):
     """EdgeVariances up to EDGE_VARIANCE_MAX_ASSETS assets, else RankOneVariances."""
-    if returns.n_assets <= EDGE_VARIANCE_MAX_ASSETS:
-        return EdgeVariances(returns)
-    return RankOneVariances(returns)
+    if x.shape[-2] <= EDGE_VARIANCE_MAX_ASSETS:
+        return EdgeVariances(x)
+    return RankOneVariances(x)
 
 
-def period_sweep(returns, variances, channel, m_w: np.ndarray,
+def period_sweep(x: np.ndarray, variances, channel, m_w: np.ndarray,
                  chi_w: np.ndarray, m_u: np.ndarray, beta: float, damping: float):
     """New period means and variances (m_u, chi_u) from the asset side.
 
-    returns is a ReturnSet or a _Stack, and the arrays carry the same leading
-    axes as its entries. The cavity variance chi_tilde_u is
-    variances.to_periods(chi_w) (see cavity_variances). The field h_u is
+    x holds the returns, of shape (..., N, p), and the arrays carry its
+    leading axes. Instances stacked on them share one call: its products are
+    np.matvec and np.vecdot, one BLAS call per instance, and the rest is
+    elementwise or per instance, so each instance gets the bits it gets
+    alone. The cavity variance chi_tilde_u is variances.to_periods(chi_w)
+    (see cavity_variances). The field h_u is
     (1/sqrt N) sum_k x_k m_wk, a dense pass over x, minus the self-response
     term chi_tilde_u * m_u built from the previous period means. channel maps
     (h, chi_tilde, beta) -> (m, chi) elementwise.
     """
     chi_tilde_u = variances.to_periods(chi_w)
     # in place on the new product: a few small arrays fewer per sweep, same bits
-    h_u = np.matvec(returns.entries.mT, m_w)
-    h_u /= math.sqrt(returns.n_assets)
+    h_u = np.matvec(x.mT, m_w)
+    h_u /= math.sqrt(x.shape[-2])
     h_u -= chi_tilde_u * m_u
     m_channel, chi_u = channel(h_u, chi_tilde_u, beta)
     return (1.0 - damping) * m_channel + damping * m_u, chi_u
 
 
-def asset_sweep(returns, variances, m_w: np.ndarray, m_u: np.ndarray,
+def asset_sweep(x: np.ndarray, variances, m_w: np.ndarray, m_u: np.ndarray,
                 chi_u: np.ndarray, damping: float):
     """New asset means and variances (m_w, chi_w), enforcing the budget through m_tilde.
 
-    returns and the arrays are as in period_sweep. The cavity variance
+    x and the arrays are as in period_sweep. The cavity variance
     chi_tilde_w is variances.to_assets(chi_u), and chi_w = 1/chi_tilde_w. The
     field h_w is (1/sqrt N) sum_mu x_mu m_umu, a dense pass over x, plus (not
     minus) its self-response term chi_tilde_w * m_wk from the previous asset
@@ -212,9 +192,9 @@ def asset_sweep(returns, variances, m_w: np.ndarray, m_u: np.ndarray,
     chi_w = inf, hence m_tilde = NaN and an all-NaN m_w, without a warning;
     _iterate reads its NaN overlap as divergence.
     """
-    n = returns.n_assets
+    n = x.shape[-2]
     chi_tilde_w = variances.to_assets(chi_u)
-    h_w = np.matvec(returns.entries, m_u)
+    h_w = np.matvec(x, m_u)
     h_w /= math.sqrt(n)
     h_w += chi_tilde_w * m_w
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -303,10 +283,10 @@ def solve_batch(instances, model: CostModel, config: BpConfig = None):
     return results
 
 
-def _keep(kept: np.ndarray, stack: _Stack, *arrays):
+def _keep(kept: np.ndarray, x: np.ndarray, *arrays):
     """The stack of the rows in kept, its cavity variances and each array's kept rows."""
-    stack = _Stack(stack.entries[kept])
-    return (stack, cavity_variances(stack), *(array[kept] for array in arrays))
+    x = x[kept]
+    return (x, cavity_variances(x), *(array[kept] for array in arrays))
 
 
 def _iterate(instances, model: CostModel, config: BpConfig, max_sum: bool):
@@ -326,11 +306,11 @@ def _iterate(instances, model: CostModel, config: BpConfig, max_sum: bool):
     if not instances:
         return []
     if len(instances) == 1:
-        stack = _Stack(instances[0].entries[None])
+        x = instances[0].entries[None]
     else:
-        stack = _Stack(np.stack([returns.entries for returns in instances]))
-    variances = cavity_variances(stack)
-    batch, n, p = stack.entries.shape
+        x = np.stack([returns.entries for returns in instances])
+    variances = cavity_variances(x)
+    batch, n, p = x.shape
     # budget-feasible uniform start; period_sweep sets chi_u before it is read
     m_w, chi_w, m_u = np.ones((batch, n)), np.ones((batch, n)), np.zeros((batch, p))
     if max_sum:
@@ -364,16 +344,16 @@ def _iterate(instances, model: CostModel, config: BpConfig, max_sum: bool):
     avg_count = 0
     while rows.size and total < config.max_sweeps:
         beta = ladder[min(total, ramp_sweeps)]
-        m_u, chi_u = period_sweep(stack, variances, channel, m_w, chi_w, m_u,
+        m_u, chi_u = period_sweep(x, variances, channel, m_w, chi_w, m_u,
                                   beta, config.damping)
-        swept, chi_w = asset_sweep(stack, variances, m_w, m_u, chi_u, config.damping)
+        swept, chi_w = asset_sweep(x, variances, m_w, m_u, chi_u, config.damping)
         squares = np.vecdot(swept, swept)
         # the largest overlap is that of the largest square sum; a NaN fails too
         if not np.maximum.reduce(squares) / n <= DIVERGENCE_THRESHOLD:
             blown = ~(squares / n <= DIVERGENCE_THRESHOLD)
             stop(blown, diverged, m_w)
-            stack, variances, rows, m_w, swept, chi_w, m_u, delta, avg_accum = _keep(
-                ~blown, stack, rows, m_w, swept, chi_w, m_u, delta, avg_accum)
+            x, variances, rows, m_w, swept, chi_w, m_u, delta, avg_accum = _keep(
+                ~blown, x, rows, m_w, swept, chi_w, m_u, delta, avg_accum)
             if not rows.size:
                 break
         if max_sum:
@@ -388,8 +368,8 @@ def _iterate(instances, model: CostModel, config: BpConfig, max_sum: bool):
             if np.minimum.reduce(delta) < config.tol:
                 done = delta < config.tol
                 stop(done, converged, m_w)
-                stack, variances, rows, m_w, chi_w, m_u, delta, avg_accum = _keep(
-                    ~done, stack, rows, m_w, chi_w, m_u, delta, avg_accum)
+                x, variances, rows, m_w, chi_w, m_u, delta, avg_accum = _keep(
+                    ~done, x, rows, m_w, chi_w, m_u, delta, avg_accum)
             if burn_in is not None and total - ramp_sweeps > burn_in:
                 avg_accum += m_w
                 avg_count += 1

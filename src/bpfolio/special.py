@@ -4,13 +4,13 @@ Everything here works in log domain or in cancellation-free rearrangements so
 that downstream channel formulas stay accurate when their arguments scale with
 beta * sqrt(chi_tilde), which can reach 1e8. Each kernel takes a scalar or an
 array and, by numpy's 0-d rule, returns a scalar for scalar input. The
-scipy.special kernels are imported inside the functions that call them, so
-loading the package, and every solve that never calls them, skips the import.
+scipy.special kernels and numpy's Hermite rule are imported inside the
+functions that call them, so loading the package, and every solve that never
+calls them, skips the import.
 """
 from __future__ import annotations
 
 import numpy as np
-from numpy.polynomial.hermite_e import hermegauss
 
 _SQRT2 = np.sqrt(2.0)
 _SQRT_2_OVER_PI = np.sqrt(2.0 / np.pi)
@@ -71,6 +71,8 @@ def gauss_hermite_dz(order: int) -> tuple[np.ndarray, np.ndarray]:
     Exact for polynomials up to degree 2*order - 1; weights renormalized to
     sum to one so that E[1] = 1 holds exactly.
     """
+    from numpy.polynomial.hermite_e import hermegauss
+
     if not 1 <= order <= 256:
         raise ValueError(f"quadrature order must be in [1, 256], got {order}")
     nodes, weights = hermegauss(order)

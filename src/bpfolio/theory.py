@@ -3,7 +3,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from statistics import NormalDist
 from typing import Callable
 
 import numpy as np
@@ -14,7 +13,6 @@ from .special import gauss_hermite_dz
 
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
 _SQRT2 = math.sqrt(2.0)
-_STANDARD_NORMAL = NormalDist()
 _LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
 _FIXED_POINT_DAMPING = 0.5
 _FIXED_POINT_CAP = 10_000
@@ -141,13 +139,16 @@ def rs_zero_temperature_ad(alpha: float) -> tuple[float, float]:
     at chi, so eps = 2*alpha*sqrt(q)*(phi(t) - t*Phibar(t)) = 1/(t*sqrt(q)).
     A finite alpha <= 1 gives (inf, 0), the divergent phase with a perfect
     hedge. The standard library's normal stands in for scipy's ndtri and ndtr,
-    so a zero-temperature sweep does not import scipy.special.
+    so a zero-temperature sweep does not import scipy.special; statistics is
+    imported here, so loading the package does not pay for it either.
     """
+    from statistics import NormalDist
+
     if not math.isfinite(alpha):
         raise ValueError("alpha must be finite")
     if alpha <= 1.0:
         return math.inf, 0.0
-    t = _STANDARD_NORMAL.inv_cdf(0.5 + 0.5 / alpha)
+    t = NormalDist().inv_cdf(0.5 + 0.5 / alpha)
     density = math.exp(-0.5 * t * t) / _SQRT_2PI
     q = 1.0 / (2.0 * alpha * t * (density - t * 0.5 * math.erfc(t / _SQRT2)))
     return q, 1.0 / (t * math.sqrt(q))

@@ -280,18 +280,18 @@ def test_criterion_9_per_sweep_cost_scales_quadratically():
     config = BpConfig()
     instances = []
     for n, seed in ((1000, 0), (2000, 1)):
-        returns = generate_returns(n, 2 * n, seed)
+        x = generate_returns(n, 2 * n, seed).entries
         # the sweep arrays m_w, chi_w, m_u, chi_u, from the uniform start
         state = [np.ones(n), np.ones(n), np.zeros(2 * n), np.zeros(2 * n)]
-        instances.append((returns, cavity_variances(returns), state))
+        instances.append((x, cavity_variances(x), state))
 
-    def per_sweep_seconds(returns, variances, state, sweeps):
+    def per_sweep_seconds(x, variances, state, sweeps):
         m_w, chi_w, m_u, chi_u = state
         start = time.perf_counter()
         for _ in range(sweeps):
-            m_u, chi_u = period_sweep(returns, variances, channel_mean_variance, m_w, chi_w,
+            m_u, chi_u = period_sweep(x, variances, channel_mean_variance, m_w, chi_w,
                                       m_u, config.beta, config.damping)
-            m_w, chi_w = asset_sweep(returns, variances, m_w, m_u, chi_u, config.damping)
+            m_w, chi_w = asset_sweep(x, variances, m_w, m_u, chi_u, config.damping)
         elapsed = time.perf_counter() - start
         state[:] = m_w, chi_w, m_u, chi_u  # the next block resumes from here
         return elapsed / sweeps

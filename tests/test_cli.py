@@ -493,6 +493,17 @@ def test_import_leaves_integrate_and_optimize_unloaded():
     assert done.stdout.strip() == "False False False False False False"
 
 
+def test_import_leaves_theory_only_modules_unloaded():
+    # statistics (with fractions and decimal) serves only the zero-temperature
+    # ad theory, and numpy.polynomial only the Gauss-Hermite rule; together
+    # they cost about 7 ms of the import
+    probe = ("import sys, bpfolio.cli; print(*(name in sys.modules for name in "
+             "('statistics', 'fractions', 'decimal', 'numpy.polynomial')))")
+    done = subprocess.run([sys.executable, "-c", probe], capture_output=True,
+                          text=True, check=True)
+    assert done.stdout.strip() == "False False False False"
+
+
 # runs cli.main on each argv of a JSON list in one fresh interpreter, then
 # prints the exit codes and whether scipy.special was loaded
 SOLVES_THEN_PROBE = """

@@ -42,7 +42,7 @@ from bpfolio.oracles import convex_oracle, exact_mean_variance
 from bpfolio.theory import portfolio_similarity
 
 DIAGONAL_2X2 = ReturnSet(np.array([[1.0, 0.0], [0.0, 2.0]]))
-CLOSURE_2X2 = RankOneVariances(DIAGONAL_2X2)
+CLOSURE_2X2 = RankOneVariances(DIAGONAL_2X2.entries)
 
 
 def make_state(n, p, m_w=None, chi_w=None, m_u=None, chi_u=None):
@@ -126,10 +126,10 @@ class TestUniformStart:
         n, p = 5, 10
         rs = generate_returns(n, p, 0)
         config = BpConfig(max_sweeps=1)
-        variances = cavity_variances(rs)
-        m_u, chi_u = period_sweep(rs, variances, channel_mean_variance, np.ones(n),
+        variances = cavity_variances(rs.entries)
+        m_u, chi_u = period_sweep(rs.entries, variances, channel_mean_variance, np.ones(n),
                                   np.ones(n), np.zeros(p), config.beta, config.damping)
-        m_w, _ = asset_sweep(rs, variances, np.ones(n), m_u, chi_u, config.damping)
+        m_w, _ = asset_sweep(rs.entries, variances, np.ones(n), m_u, chi_u, config.damping)
         port, diag = solve(rs, MEAN_VARIANCE, config)
         assert diag.sweeps_used == 1
         assert np.array_equal(port.positions, m_w)
@@ -141,7 +141,8 @@ class TestPeriodSweep:
         # leaving h_u as the scaled per-period portfolio returns
         m_w, chi_w, m_u, _ = make_state(2, 2, m_w=[1.6, 0.4], chi_w=[1e-12, 1e-12])
         channel = RecordingChannel()
-        m_u, chi_u = period_sweep(DIAGONAL_2X2, CLOSURE_2X2, channel, m_w, chi_w, m_u, 1.0, 0.0)
+        m_u, chi_u = period_sweep(DIAGONAL_2X2.entries, CLOSURE_2X2, channel, m_w, chi_w, m_u,
+                                  1.0, 0.0)
         root2 = np.sqrt(2.0)
         (h_u, _, beta), = channel.calls
         assert beta == 1.0
@@ -152,7 +153,7 @@ class TestPeriodSweep:
     def test_onsager_term_uses_previous_period_means(self):
         m_w, chi_w, m_u, _ = make_state(2, 2, m_w=[1.6, 0.4], chi_w=[1.0, 1.0], m_u=[1.0, -1.0])
         channel = RecordingChannel()
-        period_sweep(DIAGONAL_2X2, CLOSURE_2X2, channel, m_w, chi_w, m_u, 1.0, 0.0)
+        period_sweep(DIAGONAL_2X2.entries, CLOSURE_2X2, channel, m_w, chi_w, m_u, 1.0, 0.0)
         root2 = np.sqrt(2.0)
         (h_u, chi_tilde_u, _), = channel.calls
         # chi_tilde_u = (0.5, 2.0); the correction subtracts chi_tilde * old m_u
@@ -166,7 +167,8 @@ class TestPeriodSweep:
         def channel(h, chi_tilde, beta):
             return np.array([-1.0, -3.0]), np.zeros(2)
 
-        m_u, _ = period_sweep(DIAGONAL_2X2, CLOSURE_2X2, channel, m_w, chi_w, m_u, 1.0, 0.25)
+        m_u, _ = period_sweep(DIAGONAL_2X2.entries, CLOSURE_2X2, channel, m_w, chi_w, m_u,
+                              1.0, 0.25)
         assert m_u == pytest.approx([0.75 * -1.0 + 0.25 * 1.0, 0.75 * -3.0 + 0.25 * 1.0])
 
 
@@ -181,22 +183,22 @@ class TestAssetSweep:
         # and m_tilde = (2 - 3.875) / 3.125 = -0.6. Either way the undamped
         # m_w = chi_w * (h_w + m_tilde) is (2, 0).
         for variances, expected_chi_w in [
-            (EdgeVariances(DIAGONAL_2X2), [1.0, 1.0]),
+            (EdgeVariances(DIAGONAL_2X2.entries), [1.0, 1.0]),
             (CLOSURE_2X2, [2.5, 0.625]),
         ]:
             m_w, _, m_u, chi_u = make_state(2, 2, m_u=[root2, -root2 / 2.0], chi_u=[2.0, 0.5])
-            m_w, chi_w = asset_sweep(DIAGONAL_2X2, variances, m_w, m_u, chi_u, 0.0)
+            m_w, chi_w = asset_sweep(DIAGONAL_2X2.entries, variances, m_w, m_u, chi_u, 0.0)
             assert chi_w == pytest.approx(expected_chi_w)
             assert m_w == pytest.approx([2.0, 0.0])
 
     def test_budget_held_with_damping(self):
-        rs = generate_returns(20, 60, 8)
-        variances = cavity_variances(rs)
+        x = generate_returns(20, 60, 8).entries
+        variances = cavity_variances(x)
         m_w, chi_w, m_u, _ = make_state(20, 60)
         for _ in range(50):
-            m_u, chi_u = period_sweep(rs, variances, channel_mean_variance, m_w, chi_w, m_u,
+            m_u, chi_u = period_sweep(x, variances, channel_mean_variance, m_w, chi_w, m_u,
                                       1.0, 0.5)
-            m_w, chi_w = asset_sweep(rs, variances, m_w, m_u, chi_u, 0.5)
+            m_w, chi_w = asset_sweep(x, variances, m_w, m_u, chi_u, 0.5)
             assert abs(m_w.sum() - 20.0) <= 1e-9 * 20.0
 
     def test_vanishing_cavity_variance_gives_non_finite_means_quietly(self):
@@ -206,7 +208,7 @@ class TestAssetSweep:
         m_w, _, m_u, chi_u = make_state(2, 2, chi_u=[0.0, 0.0])
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            m_w, chi_w = asset_sweep(DIAGONAL_2X2, CLOSURE_2X2, m_w, m_u, chi_u, 0.5)
+            m_w, chi_w = asset_sweep(DIAGONAL_2X2.entries, CLOSURE_2X2, m_w, m_u, chi_u, 0.5)
         assert np.all(np.isnan(m_w))
         assert not np.all(np.isfinite(chi_w))
 
@@ -224,26 +226,28 @@ class TestVarianceClosure:
         a = rng.uniform(0.1, 3.0, n)
         b = rng.uniform(0.1, 3.0, p)
         signs = rng.choice([-1.0, 1.0], size=(n, p))
-        returns = ReturnSet(a[:, None] * signs * b[None, :])
-        squares = returns.entries * returns.entries
-        closure = RankOneVariances(returns)
+        x = a[:, None] * signs * b[None, :]
+        squares = x * x
+        closure = RankOneVariances(x)
         m_w, chi_w, m_u, _ = make_state(n, p, chi_w=rng.uniform(0.1, 2.0, n),
                                         m_w=rng.standard_normal(n))
         channel = RecordingChannel()
-        period_sweep(returns, closure, channel, m_w, chi_w, m_u, 1.0, 0.5)
+        period_sweep(x, closure, channel, m_w, chi_w, m_u, 1.0, 0.5)
         (_, chi_tilde_u, _), = channel.calls
         np.testing.assert_allclose(chi_tilde_u, squares.T @ chi_w / n,
                                    rtol=1e-12, atol=0)
         chi_u = rng.uniform(0.1, 2.0, p)
-        _, chi_w = asset_sweep(returns, closure, m_w, m_u, chi_u, 0.5)
+        _, chi_w = asset_sweep(x, closure, m_w, m_u, chi_u, 0.5)
         np.testing.assert_allclose(1.0 / chi_w, squares @ chi_u / n,
                                    rtol=1e-12, atol=0)
 
 
     def test_per_edge_weights_up_to_the_asset_limit(self):
         n = EDGE_VARIANCE_MAX_ASSETS
-        assert isinstance(cavity_variances(generate_returns(n, 4 * n, 0)), EdgeVariances)
-        assert isinstance(cavity_variances(generate_returns(n + 1, 2, 0)), RankOneVariances)
+        assert isinstance(cavity_variances(generate_returns(n, 4 * n, 0).entries),
+                          EdgeVariances)
+        assert isinstance(cavity_variances(generate_returns(n + 1, 2, 0).entries),
+                          RankOneVariances)
 
 class TestObservables:
     def test_uniform_overlap_is_one(self):
@@ -526,13 +530,13 @@ class TestSolveBatch:
         seen = []
         original = engine.period_sweep
 
-        def recording(stack, *args):
-            seen.append(stack.entries)
-            return original(stack, *args)
+        def recording(x, *args):
+            seen.append(x)
+            return original(x, *args)
 
         monkeypatch.setattr(engine, "period_sweep", recording)
         solve(returns, MEAN_VARIANCE, BpConfig(max_sweeps=2))
-        assert all(np.shares_memory(entries, returns.entries) for entries in seen)
+        assert seen and all(np.shares_memory(x, returns.entries) for x in seen)
 
     def test_empty_batch(self):
         assert solve_batch([], MEAN_VARIANCE) == []
@@ -545,9 +549,9 @@ class TestTracedNames:
     def test_wrapped_functions_keep_their_signatures(self):
         expected = {
             "solve": ["returns", "model", "config"],
-            "period_sweep": ["returns", "variances", "channel", "m_w", "chi_w", "m_u",
+            "period_sweep": ["x", "variances", "channel", "m_w", "chi_w", "m_u",
                              "beta", "damping"],
-            "asset_sweep": ["returns", "variances", "m_w", "m_u", "chi_u", "damping"],
+            "asset_sweep": ["x", "variances", "m_w", "m_u", "chi_u", "damping"],
             "channel_for": ["model"],
         }
         for name, parameters in expected.items():

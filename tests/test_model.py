@@ -44,9 +44,11 @@ class TestReturnSet:
         with pytest.raises(ValueError, match="at least 1 period"):
             ReturnSet(np.ones((3, 0)))
 
-    def test_rejects_non_finite(self):
-        entries = np.ones((2, 2))
-        entries[1, 1] = np.nan
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("cell", [(0, 0), (1, 2)], ids=["first", "last"])
+    def test_rejects_non_finite(self, value, cell):
+        entries = np.ones((2, 3))
+        entries[cell] = value
         with pytest.raises(ValueError, match="non-finite"):
             ReturnSet(entries)
 
