@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, NamedTuple, Optional
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -189,11 +189,14 @@ def load_returns(path: str, n_assets: int, center: bool = False) -> ReturnSet:
     A regular file of at least _SPLIT_BYTES (8 MiB) is read in two parts at
     once where os.fork exists and this process may run on two cores or more,
     by its affinity mask and by its cgroup's CPU quota (_cpu_quota): a forked
-    child reads the rows after the first line end at or past the
-    middle of the file and sends them back over a pipe, while this process
-    reads the rows before it. The array, its bits and every message are
-    those of the one-pass read, the first fault in file order included. A
-    pipe or other input that is not a regular file is read in one pass.
+    child reads the rows after the first line end at or past the middle of
+    the file and sends them back over a pipe, while this process reads the
+    rows before it. The parts are joined only where both hold rows of one
+    width, n_assets in all, and the child sent all of its own. Any other
+    split, or a mapping, pipe or fork the system refuses, is read again in
+    one pass, which alone raises the errors past this process's part, so a
+    large file whose first fault lies past the middle is read about 1.5 times.
+    A pipe or other input that is not a regular file is read in one pass.
     Python 3.12 and later warn (DeprecationWarning) at a fork in a process
     that has threads, as OpenBLAS gives this one; the child calls no BLAS.
 
@@ -204,17 +207,16 @@ def load_returns(path: str, n_assets: int, center: bool = False) -> ReturnSet:
     # from many chunks
     with open(path, "rb", buffering=1 << 20) as fh:
         split = _split_point(fh.fileno())
-        if split is None:
-            part = _read_rows(fh, 0, None, n_assets)
-        else:
-            part = _read_in_two(fh, split, n_assets)
-    if part.fault is not None:
-        raise ReturnsParseError(str(part.fault))
-    if part.entries is None:
+        joined = None if split is None else _read_in_two(fh, split, n_assets)
+        if joined is None:
+            if split is not None:
+                fh.seek(0)
+            joined = _read_rows(fh, 0, None, n_assets)
+    entries, rows = joined
+    if entries is None:
         raise ReturnsParseError(f"no rows in {path}")
-    if part.rows != n_assets:
-        raise ReturnsParseError(f"expected {n_assets} asset rows, found {part.rows}")
-    entries = part.entries
+    if rows != n_assets:
+        raise ReturnsParseError(f"expected {n_assets} asset rows, found {rows}")
     if center:
         entries -= entries.mean(axis=1, keepdims=True)
     return ReturnSet._take(entries)
@@ -236,102 +238,77 @@ _SPLIT_BYTES = 1 << 23
 _NUMBER_BYTES = b"0123456789.eE+-, \t"
 
 
-class _RowFault(Exception):
-    """A malformed row. Its args are the row's physical line, counted from
-    where the read began, and the message's text before and after it."""
-
-    def after(self, lines: int) -> _RowFault:
-        """The same fault, in a read that began `lines` lines earlier."""
-        line, what, detail = self.args
-        return _RowFault(lines + line, what, detail)
-
-    def __str__(self):
-        line, what, detail = self.args
-        return f"{what} at row {line}{detail}"
-
-
-class _Part(NamedTuple):
-    """The rows of a file, or of one part of it, read up to the first fault."""
-
-    entries: Optional[np.ndarray]  # the rows, then spare ones; None if there are none
-    rows: int  # rows read, those past n_assets included
-    lines: int  # physical lines read, blank ones included
-    first_line: int  # the line of the first row, 0 if there is none
-    fault: Optional[_RowFault]  # the first malformed row, where the read stopped
-
-
-def _read_rows(handle, start: int, end: Optional[int], n_assets: int) -> _Part:
+def _read_rows(handle, start: int, end: Optional[int],
+               n_assets: int) -> tuple[Optional[np.ndarray], int]:
     """The rows of a binary input from byte `start`, where handle stands and a
     line begins, to byte `end`, where a line begins too, or to the end of the
-    input when end is None. The array stores at most n_assets rows; those past
-    them are still read, to locate a fault and to count them."""
+    input when end is None, and their count: an array of at most n_assets
+    rows, then spare ones, or None if there are none. Rows past n_assets are
+    still read, to locate a fault and to count them. The first malformed row
+    raises ReturnsParseError with its physical line, counted from `start`."""
     import orjson  # here, not at the top: `import bpfolio.cli` does not need it
 
     entries = None
     rows = 0
     row_index = 0  # physical line number, blank lines included
-    first_line = 0
     position = start
-    try:
-        for chunk in handle:
-            lines = chunk.replace(b"\r\n", b"\n").split(b"\r") if b"\r" in chunk else (chunk,)
-            for line in lines:
-                row_index += 1
-                line = line.strip()
-                if not line:
+    for chunk in handle:
+        lines = chunk.replace(b"\r\n", b"\n").split(b"\r") if b"\r" in chunk else (chunk,)
+        for line in lines:
+            row_index += 1
+            line = line.strip()
+            if not line:
+                continue
+            values = None
+            if not line.translate(None, _NUMBER_BYTES):
+                try:
+                    values = orjson.loads(b"[" + line + b"]")
+                except orjson.JSONDecodeError:
+                    pass
+            from_json = values is not None
+            if not from_json:
+                values = _float_row(line, row_index)
+                if not values:
                     continue
-                values = None
-                if not line.translate(None, _NUMBER_BYTES):
-                    try:
-                        values = orjson.loads(b"[" + line + b"]")
-                    except orjson.JSONDecodeError:
-                        pass
-                from_json = values is not None
-                if not from_json:
-                    values = _float_row(line, row_index)
-                    if not values:
-                        continue
-                if entries is None:
-                    # doubled as rows arrive, so a too-large n_assets costs
-                    # at most twice the rows the input holds, or _FIRST_ROWS
-                    entries = np.empty((max(0, min(n_assets, _FIRST_ROWS)), len(values)))
-                    first_line = row_index
-                if len(values) != entries.shape[1]:
-                    raise _RowFault(row_index, "ragged row",
-                                    f": got {len(values)} columns, expected {entries.shape[1]}")
-                if rows == len(entries) < n_assets:
-                    # in place, by realloc: a copy would free the old block,
-                    # which glibc keeps resident once it falls below the mmap
-                    # threshold that freeing it raised, so a second solve of a
-                    # 2000 x 4000 file in one process peaked at 124 MB, not
-                    # 100 MB. No view of entries outlives its statement.
-                    entries.resize((min(n_assets, 2 * rows), entries.shape[1]), refcheck=False)
-                if rows < len(entries):
-                    entries[rows] = values
-                    if from_json:
-                        zeros = np.flatnonzero(entries[rows] == 0.0)
-                        if zeros.size:
-                            cells = line.split(b",")
-                            entries[rows, zeros] = [float(cells[j]) for j in zeros]
-                rows += 1
-            position += len(chunk)
-            if position == end:
-                break
-    except _RowFault as fault:
-        return _Part(entries, rows, row_index, first_line, fault)
-    return _Part(entries, rows, row_index, first_line, None)
+            if entries is None:
+                # doubled as rows arrive, so a too-large n_assets costs
+                # at most twice the rows the input holds, or _FIRST_ROWS
+                entries = np.empty((max(0, min(n_assets, _FIRST_ROWS)), len(values)))
+            if len(values) != entries.shape[1]:
+                raise ReturnsParseError(f"ragged row at row {row_index}: got {len(values)}"
+                                        f" columns, expected {entries.shape[1]}")
+            if rows == len(entries) < n_assets:
+                # in place, by realloc: a copy would free the old block,
+                # which glibc keeps resident once it falls below the mmap
+                # threshold that freeing it raised, so a second solve of a
+                # 2000 x 4000 file in one process peaked at 124 MB, not
+                # 100 MB. No view of entries outlives its statement.
+                entries.resize((min(n_assets, 2 * rows), entries.shape[1]), refcheck=False)
+            if rows < len(entries):
+                entries[rows] = values
+                if from_json:
+                    zeros = np.flatnonzero(entries[rows] == 0.0)
+                    if zeros.size:
+                        cells = line.split(b",")
+                        entries[rows, zeros] = [float(cells[j]) for j in zeros]
+            rows += 1
+        position += len(chunk)
+        if position == end:
+            break
+    return entries, rows
 
 
 def _float_row(line: bytes, row_index: int) -> list[float]:
     """A row orjson cannot read, decoded as UTF-8, stripped and read cell by
-    cell with float(); empty for a row of Unicode blanks."""
+    cell with float(); empty for a row of Unicode blanks. A cell it cannot
+    read raises ReturnsParseError at line `row_index`."""
     try:
         text = line.decode("utf-8").strip()
     except UnicodeDecodeError as error:
         # a comma is one byte in UTF-8, never part of a longer character
         column = line.count(b",", 0, error.start) + 1
-        raise _RowFault(row_index, "non-UTF-8 cell",
-                        f", column {column}: {line.split(b',')[column - 1]!r}") from None
+        raise ReturnsParseError(f"non-UTF-8 cell at row {row_index}, column {column}:"
+                                f" {line.split(b',')[column - 1]!r}") from None
     if not text:
         return []
     values = []
@@ -339,11 +316,12 @@ def _float_row(line: bytes, row_index: int) -> list[float]:
         try:
             values.append(float(cell))
         except ValueError:
-            raise _RowFault(row_index, "non-numeric cell",
-                            f", column {col_index}: {cell!r}") from None
+            raise ReturnsParseError(f"non-numeric cell at row {row_index},"
+                                    f" column {col_index}: {cell!r}") from None
         # only here can a cell read as nan or inf: orjson rejects them
         if not math.isfinite(values[-1]):
-            raise _RowFault(row_index, "non-finite cell", f", column {col_index}: {cell!r}")
+            raise ReturnsParseError(f"non-finite cell at row {row_index},"
+                                    f" column {col_index}: {cell!r}")
     return values
 
 
@@ -403,40 +381,57 @@ def _cpu_quota(cgroups: str = "/proc/self/cgroup", root: str = "/sys/fs/cgroup")
     return quota
 
 
-def _read_in_two(fh, split: int, n_assets: int) -> _Part:
-    """The _Part of a whole regular file: this process reads its rows up to
-    byte `split` while a forked child reads the rest (_send_rows)."""
+def _read_in_two(fh, split: int, n_assets: int) -> Optional[tuple[np.ndarray, int]]:
+    """The rows of a whole regular file and their count, n_assets: this
+    process reads its rows up to byte `split` while a forked child reads the
+    rest (_send_rows). None, for the caller to read the file again in one
+    pass, unless both parts hold rows of one width, n_assets in all, and the
+    child sent all of its own."""
     import mmap
     import os
+    import pickle
     import signal
 
-    # the child reads through a mapping, since the file offset is shared;
-    # mapped before the fork, it costs this process no resident pages
-    with mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ) as mapped:
-        read_end, write_end = os.pipe()
-        with open(read_end, "rb") as pipe:
-            try:
-                pid = os.fork()
-                if pid == 0:
-                    _send_rows(mapped, split, n_assets, read_end, write_end)
-            except OSError:
-                # no process to spare, as at a process limit: one pass, then
-                return _read_rows(fh, 0, None, n_assets)
-            finally:
-                os.close(write_end)
-            try:
-                return _join(_read_rows(fh, 0, split, n_assets), pipe, n_assets)
-            finally:
-                # it may still be reading, after a fault in this process's part
-                os.kill(pid, signal.SIGKILL)
-                os.waitpid(pid, 0)
+    try:
+        # the child reads through a mapping, since the file offset is shared;
+        # mapped before the fork, it costs this process no resident pages
+        with mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ) as mapped:
+            read_end, write_end = os.pipe()
+            with open(read_end, "rb") as pipe:
+                try:
+                    pid = os.fork()
+                    if pid == 0:
+                        _send_rows(mapped, split, n_assets, read_end, write_end)
+                finally:
+                    os.close(write_end)
+                try:
+                    entries, rows = _read_rows(fh, 0, split, n_assets)
+                    if entries is None:
+                        return None
+                    # EOFError where the child sent nothing
+                    tail_rows, columns = pickle.load(pipe)
+                    if columns != entries.shape[1] or rows + tail_rows != n_assets:
+                        return None
+                    entries.resize((n_assets, columns), refcheck=False)
+                    received = memoryview(entries[rows:]).cast("B")
+                    if pipe.readinto(received) == len(received):
+                        return entries, n_assets
+                finally:
+                    # it may still be reading or writing
+                    os.kill(pid, signal.SIGKILL)
+                    os.waitpid(pid, 0)
+    except (OSError, EOFError):
+        # no mapping, pipe or process to spare, as at a process limit; the
+        # one-pass read meets again any fault of the file itself
+        pass
+    return None
 
 
 def _send_rows(mapped, split: int, n_assets: int, read_end: int, write_end: int):
     """The child of _read_in_two, which never returns. It reads the rows of
     the mapped file from byte `split`, writes to write_end their pickled
-    _Part, with the column count in place of the array, then the bytes of
-    the rows it stored, and exits."""
+    count and width, then the bytes of the rows it stored, and exits. It
+    writes nothing at a fault or where its part holds no rows."""
     import os
     import pickle
 
@@ -444,48 +439,12 @@ def _send_rows(mapped, split: int, n_assets: int, read_end: int, write_end: int)
         os.close(read_end)
         with open(write_end, "wb") as pipe:
             mapped.seek(split)
-            part = _read_rows(iter(mapped.readline, b""), split, None, n_assets)
-            entries = part.entries
-            columns = None if entries is None else entries.shape[1]
-            pickle.dump((part._replace(entries=None), columns), pipe)
+            entries, rows = _read_rows(iter(mapped.readline, b""), split, None, n_assets)
             if entries is not None:
-                pipe.write(memoryview(entries[:part.rows]).cast("B"))
+                pickle.dump((rows, entries.shape[1]), pipe)
+                pipe.write(memoryview(entries[:rows]).cast("B"))
     finally:
         os._exit(0)
-
-
-def _join(head: _Part, pipe, n_assets: int) -> _Part:
-    """The whole file's _Part, from this process's part and what the child
-    sent to `pipe`. The child numbers its lines from where it began, so its
-    fault moves past the lines of this process's part."""
-    import pickle
-
-    if head.fault is not None:
-        return head
-    ended_early = "the child reading the second part of the file ended early"
-    try:
-        tail, columns = pickle.load(pipe)
-    except EOFError:
-        raise ChildProcessError(ended_early) from None
-    if head.entries is not None and tail.rows and columns != head.entries.shape[1]:
-        # the child's first row is ragged against the rows before it
-        tail = tail._replace(fault=_RowFault(
-            tail.first_line, "ragged row",
-            f": got {columns} columns, expected {head.entries.shape[1]}"))
-    if tail.fault is not None:
-        return head._replace(fault=tail.fault.after(head.lines))
-    entries, rows = head.entries, head.rows + tail.rows
-    if tail.rows:
-        if entries is None:
-            entries = np.empty((0, columns))
-        # a file of another row count is refused, without these rows
-        if rows == n_assets:
-            entries.resize((n_assets, columns), refcheck=False)
-            received = memoryview(entries[head.rows:]).cast("B")
-            if pipe.readinto(received) != len(received):
-                raise ChildProcessError(ended_early)
-    first_line = head.first_line or tail.first_line and head.lines + tail.first_line
-    return _Part(entries, rows, head.lines + tail.lines, first_line, None)
 
 
 def save_returns(returns: ReturnSet, path: str) -> None:

@@ -1,6 +1,9 @@
 """Tests for the shared domain types, returns generation, and CSV persistence."""
+import errno
 import math
+import mmap
 import os
+import pickle
 import tempfile
 from unittest import mock
 
@@ -249,7 +252,7 @@ class TestReturnsCsv:
                 fh.write(newline.join(lines) + newline)
             # every row of these files loads through orjson, none through
             # float(); a forked child that reaches float() ends without its
-            # rows, and the load fails
+            # rows, and the one-pass read this process then makes fails
             with mock.patch.object(model, "_float_row",
                                    side_effect=AssertionError("read with float()")):
                 loaded = load_returns(path, len(values)).entries
@@ -505,8 +508,12 @@ class TestTwoPartRead:
          "non-numeric cell at row 2, column 2: 'x'"),
         # a row count other than n_assets counts the rows of both parts
         ("1,2\n" * 9, "expected 8 asset rows, found 9"),
-        # rows only past the middle
+        # two rows before the middle, six past it
         ("\n" * 20 + "1,2\n" * 8, None),
+        # rows only past the middle: this process's part has none
+        ("\n" * 40 + "1,2\n" * 8, None),
+        # rows only before the middle, then blank lines: the child sends nothing
+        ("1,2\n" * 8 + "\n" * 40, None),
     ])
     def test_faults_across_the_split(self, tmp_path, text, message):
         path = tmp_path / "returns.csv"
@@ -549,16 +556,33 @@ class TestTwoPartRead:
                 raise Injected
             return part
 
-        for rows, error in [
-            ([row] * 128, None),
-            (["x"] + [row] * 127, "non-numeric cell at row 1, column 1: 'x'"),
-            ([row] * 127 + ["x"], "non-numeric cell at row 128, column 1: 'x'"),
-            ([row] * 128, Injected),
+        def exits_at_once(mapped, split, n_assets, read_end, write_end):
+            os._exit(0)
+
+        def sends_short_rows(mapped, split, n_assets, read_end, write_end):
+            try:  # the count and width of its rows, then 100 zero bytes
+                rows = mapped[split:].count(b"\n")
+                os.write(write_end, pickle.dumps((rows, 200)) + bytes(100))
+            finally:
+                os._exit(0)
+
+        for rows, error, send_rows in [
+            ([row] * 128, None, model._send_rows),
+            (["x"] + [row] * 127, "non-numeric cell at row 1, column 1: 'x'", model._send_rows),
+            ([row] * 127 + ["x"], "non-numeric cell at row 128, column 1: 'x'",
+             model._send_rows),
+            ([row] * 128, Injected, model._send_rows),
+            # a child that ends without its rows, as when it is killed: the
+            # file is read again in one pass
+            ([row] * 128, None, exits_at_once),
+            ([row] * 128, None, sends_short_rows),
         ]:
             path.write_text("\n".join(rows) + "\n")
-            with mock.patch.object(os, "fork", wraps=os.fork) as fork:
+            with mock.patch.object(os, "fork", wraps=os.fork) as fork, \
+                    mock.patch.object(model, "_send_rows", send_rows):
                 if error is None:
-                    assert load_returns(str(path), 128).entries.shape == (128, 200)
+                    loaded = load_returns(str(path), 128).entries
+                    assert loaded.shape == (128, 200) and np.all(loaded == 1.5)
                 elif error is Injected:
                     with mock.patch.object(model, "_read_rows", interrupted), \
                             pytest.raises(Injected):
@@ -627,6 +651,18 @@ class TestOnePassRead:
         monkeypatch.setattr(os, "fork", fork)
         rs, path = returns_file
         assert np.array_equal(load_returns(str(path), 9).entries, rs.entries)
+
+    def test_mapping_refused(self, returns_file, monkeypatch):
+        # the file is mapped and the pipe made before the fork, so no fork
+        def refuse(*args, **kwargs):
+            raise OSError(errno.ENODEV, "No such device")
+
+        monkeypatch.setattr(model, "_SPLIT_BYTES", 0)
+        rs, path = returns_file
+        for module, name in [(mmap, "mmap"), (os, "pipe")]:
+            affinity, quota = two_usable_cores()
+            with affinity, quota, mock.patch.object(module, name, refuse):
+                assert np.array_equal(load_returns(str(path), 9).entries, rs.entries)
 
     def test_no_fork_on_the_platform(self, returns_file, monkeypatch):
         monkeypatch.setattr(model, "_SPLIT_BYTES", 0)
