@@ -36,9 +36,6 @@ SWEEP_CSV_HEADER = "alpha,q_mean,q_se,eps_mean,eps_se,q_replica,eps_replica,n_di
 # _trials solves as many instances at once as fit in this many bytes of returns
 BATCH_BYTES = 32 * 2**20
 
-_DEFAULT_SEED = 0
-_SEED_ENV_VAR = "BPFOLIO_SEED"
-
 
 class _Parser(argparse.ArgumentParser):
     """Argument parser whose usage failures exit with code 1 (2 means divergence here)."""
@@ -49,19 +46,10 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _seed(args) -> int:
-    """--seed, else the default seed; the environment variable overrides only the default.
-    numpy's generator takes no negative seed, so either source must be non-negative."""
-    seed, source = args.seed, "--seed"
-    if seed is None:
-        raw, source = os.environ.get(_SEED_ENV_VAR), _SEED_ENV_VAR
-        if raw is None:
-            return _DEFAULT_SEED
-        try:
-            seed = int(raw)
-        except ValueError:
-            raise ReturnsParseError(f"{_SEED_ENV_VAR} must be an integer, got {raw!r}")
+    """--seed, else 0; numpy's generator takes no negative seed."""
+    seed = 0 if args.seed is None else args.seed
     if seed < 0:
-        raise ReturnsParseError(f"{source} must be a non-negative integer, got {seed}")
+        raise ReturnsParseError(f"--seed must be a non-negative integer, got {seed}")
     return seed
 
 
@@ -197,11 +185,11 @@ def _model_from_args(args) -> CostModel:
         return _MODELS[args.model]
     if args.cost_expr is None:
         raise ReturnsParseError("generic model requires --cost-expr")
-    return generic_model(_cost_from_expression(args.cost_expr), order=args.order)
+    return generic_model(_cost_from_expression(args.cost_expr))
 
 
 def _config_from_args(args, model: CostModel):
-    overrides = {name: getattr(args, name) for name in ("damping", "tol", "max_sweeps")
+    overrides = {name: getattr(args, name) for name in ("tol", "max_sweeps")
                  if getattr(args, name) is not None}
     with _user_input():
         return dataclasses.replace(engine.default_config(model, args.beta), **overrides)
@@ -337,6 +325,8 @@ def run_sweep(model: CostModel, alphas, n_assets: int, trials: int, base_seed: i
 
 
 def cmd_sweep(args) -> tuple[str, int]:
+    if args.n < 2:  # before the alphas, whose check reads n
+        raise ReturnsParseError(f"need at least 2 assets, got {args.n}")
     try:
         alphas = [float(chunk) for chunk in args.alphas.split(",") if chunk]
     except ValueError as exc:
@@ -443,10 +433,8 @@ def _build_parser() -> _Parser:
                        "zero-temperature, finite-temperature below 2^20)")
     solve.add_argument("--cost-expr", help="generic cost R(u): arithmetic in u, pi, e and "
                        "the functions " + ", ".join(_COST_FUNCTIONS))
-    solve.add_argument("--order", type=int, default=64, help="generic quadrature order")
     solve.add_argument("--center", action="store_true",
                        help="subtract per-asset means when loading from file")
-    solve.add_argument("--damping", type=float)
     solve.add_argument("--tol", type=float)
     solve.add_argument("--max-sweeps", type=int)
     solve.add_argument("--out", help="write JSON here (atomic) instead of stdout")

@@ -211,7 +211,7 @@ def load_returns(path: str, n_assets: int, center: bool = False) -> ReturnSet:
         if joined is None:
             if split is not None:
                 fh.seek(0)
-            joined = _read_rows(fh, 0, None, n_assets)
+            joined = _read_rows(fh, None, n_assets)
     entries, rows = joined
     if entries is None:
         raise ReturnsParseError(f"no rows in {path}")
@@ -238,20 +238,20 @@ _SPLIT_BYTES = 1 << 23
 _NUMBER_BYTES = b"0123456789.eE+-, \t"
 
 
-def _read_rows(handle, start: int, end: Optional[int],
+def _read_rows(handle, end: Optional[int],
                n_assets: int) -> tuple[Optional[np.ndarray], int]:
-    """The rows of a binary input from byte `start`, where handle stands and a
-    line begins, to byte `end`, where a line begins too, or to the end of the
-    input when end is None, and their count: an array of at most n_assets
-    rows, then spare ones, or None if there are none. Rows past n_assets are
-    still read, to locate a fault and to count them. The first malformed row
-    raises ReturnsParseError with its physical line, counted from `start`."""
+    """The rows of a binary input from where handle stands, at a line start,
+    through its next `end` bytes, which end at a line start too, or to the
+    end of the input when end is None, and their count: an array of at most
+    n_assets rows, then spare ones, or None if there are none. Rows past
+    n_assets are still read, to locate a fault and to count them. The first
+    malformed row raises ReturnsParseError with its physical line, counted from there."""
     import orjson  # here, not at the top: `import bpfolio.cli` does not need it
 
     entries = None
     rows = 0
     row_index = 0  # physical line number, blank lines included
-    position = start
+    position = 0
     for chunk in handle:
         lines = chunk.replace(b"\r\n", b"\n").split(b"\r") if b"\r" in chunk else (chunk,)
         for line in lines:
@@ -405,7 +405,7 @@ def _read_in_two(fh, split: int, n_assets: int) -> Optional[tuple[np.ndarray, in
                 finally:
                     os.close(write_end)
                 try:
-                    entries, rows = _read_rows(fh, 0, split, n_assets)
+                    entries, rows = _read_rows(fh, split, n_assets)
                     if entries is None:
                         return None
                     # EOFError where the child sent nothing
@@ -439,7 +439,7 @@ def _send_rows(mapped, split: int, n_assets: int, read_end: int, write_end: int)
         os.close(read_end)
         with open(write_end, "wb") as pipe:
             mapped.seek(split)
-            entries, rows = _read_rows(iter(mapped.readline, b""), split, None, n_assets)
+            entries, rows = _read_rows(iter(mapped.readline, b""), None, n_assets)
             if entries is not None:
                 pickle.dump((rows, entries.shape[1]), pipe)
                 pipe.write(memoryview(entries[:rows]).cast("B"))

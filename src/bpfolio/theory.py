@@ -1,6 +1,7 @@
 """Replica-symmetric order parameters, Marchenko-Pastur moments, annealed costs."""
 from __future__ import annotations
 
+import collections
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -98,7 +99,7 @@ def rs_fixed_point(alpha: float, beta: float, model: CostModel,
     y, v = gauss_hermite_dz(order)
     channel = channel_for(model)
 
-    residuals: list[float] = []
+    residuals: collections.deque[float] = collections.deque(maxlen=5)
     for _ in range(_FIXED_POINT_CAP):
         kernel, _ = channel(y * math.sqrt(q), chi, beta)
         eta = float(v @ (y * kernel))
@@ -124,7 +125,7 @@ def rs_fixed_point(alpha: float, beta: float, model: CostModel,
                               alpha=alpha, beta=beta)
     raise ReplicaConvergenceError(
         f"replica fixed point did not converge in {_FIXED_POINT_CAP} iterations; "
-        f"last residuals {['%.3e' % r for r in residuals[-5:]]}"
+        f"last residuals {['%.3e' % r for r in residuals]}"
     )
 
 

@@ -2,6 +2,7 @@
 import json
 import math
 import os
+import shlex
 import subprocess
 import sys
 
@@ -10,7 +11,8 @@ import pytest
 
 from bpfolio import cli, engine, theory
 from bpfolio.cli import SWEEP_CSV_HEADER, _replica_columns, main, run_sweep
-from bpfolio.model import ABSOLUTE_DEVIATION, MEAN_VARIANCE, BpConfig, generic_model
+from bpfolio.model import (ABSOLUTE_DEVIATION, MEAN_VARIANCE, BpConfig, ReturnSet,
+                           generic_model)
 
 
 def _no_solve(*args, **kwargs):
@@ -145,8 +147,6 @@ class TestSolveCommand:
     @pytest.mark.parametrize("extra, message", [
         # the constants are Python floats: 1e308*10 is inf and inf*0 is nan, quietly
         (["--cost-expr", "u**2/2 + 1e308*10*0"], "cost function is not finite at u="),
-        (["--cost-expr", "u**2/2", "--order", "8"],
-         "generic channel order must be in [16, 256], got 8"),
     ])
     def test_generic_channel_input_errors_are_usage_errors(self, capsys, extra, message):
         code = main(["solve", "--model", "generic", *extra, "--random", "--n", "2", "--p", "8"])
@@ -207,6 +207,25 @@ class TestSolveCommand:
     def test_unknown_model_rejected_by_parser(self, capsys):
         assert main(["solve", "--model", "huber", "--random", "--n", "4", "--p", "8"]) == 1
         assert "invalid choice: 'huber'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("extra", [["--order", "16"], ["--damping", "0.5"]])
+    def test_solver_settings_are_not_options(self, capsys, extra):
+        # the quadrature order and the damping come from the model alone
+        assert main(["solve", "--model", "mv", "--random", "--n", "4", "--p", "8",
+                     *extra]) == 1
+        assert f"unrecognized arguments: {' '.join(extra)}\n" in capsys.readouterr().err
+
+    def test_center_solves_the_row_demeaned_matrix(self, capsys, tmp_path):
+        from bpfolio.model import generate_returns, save_returns
+        entries = generate_returns(12, 30, 2).entries + np.linspace(-1.0, 2.0, 12)[:, None]
+        raw, demeaned = tmp_path / "raw.csv", tmp_path / "demeaned.csv"
+        save_returns(ReturnSet(entries), str(raw))
+        save_returns(ReturnSet(entries - entries.mean(axis=1, keepdims=True)), str(demeaned))
+        assert main(["solve", "--model", "mv", "--input", str(raw), "--n", "12",
+                     "--center"]) == 0
+        centered = capsys.readouterr().out
+        assert main(["solve", "--model", "mv", "--input", str(demeaned), "--n", "12"]) == 0
+        assert centered == capsys.readouterr().out
 
 
 class TestSweepCommand:
@@ -329,6 +348,12 @@ class TestSweepCommand:
         monkeypatch.setattr(cli, "BATCH_BYTES", 3 * 1600 + 8)
         assert run_sweep(model, [2.0], 10, 10, 3) == whole
         assert batches == [3, 3, 3, 1]
+
+    @pytest.mark.parametrize("n", ["0", "-3"])
+    def test_too_few_assets_named_before_the_alphas(self, capsys, monkeypatch, n):
+        monkeypatch.setattr(engine, "solve_batch", _no_solve)
+        assert main(["sweep", "--model", "mv", "--n", n, "--trials", "2"]) == 1
+        assert capsys.readouterr().err == f"bpfolio: error: need at least 2 assets, got {n}\n"
 
     @pytest.mark.parametrize("n_assets, trials, message", [
         (0, 2, "need at least 2 assets, got 0"),
@@ -588,40 +613,31 @@ def test_benchmark_tracer_sees_every_layer(argv):
         assert result["layers"]["special.calls_per_sweep"] > 0
 
 
+_SEEDED_COMMANDS = [
+    ["solve", "--model", "mv", "--random", "--n", "10", "--p", "30"],
+    ["sweep", "--model", "mv", "--alphas", "2", "--n", "10", "--trials", "2"],
+    ["ky", "--n", "10", "--p", "20", "--trials", "2"],
+]
+
+
 class TestSeedEnvironment:
-    def test_env_overrides_default_seed_only(self, capsys, monkeypatch):
-        monkeypatch.setenv("BPFOLIO_SEED", "123")
-        _, from_env = run_json(capsys, [
-            "solve", "--model", "mv", "--random", "--n", "10", "--p", "30"])
-        _, explicit = run_json(capsys, [
-            "solve", "--model", "mv", "--random", "--n", "10", "--p", "30",
-            "--seed", "123"])
-        assert from_env["seed"] == 123
-        assert from_env["positions"] == explicit["positions"]
-        _, other = run_json(capsys, [
-            "solve", "--model", "mv", "--random", "--n", "10", "--p", "30",
-            "--seed", "9"])
-        assert other["seed"] == 9
+    @pytest.mark.parametrize("argv", _SEEDED_COMMANDS)
+    def test_environment_does_not_change_the_output(self, capsys, monkeypatch, argv):
+        # the command line alone fixes the output: the default seed is 0
+        assert main(argv) == 0
+        unset = capsys.readouterr()
+        assert main(argv + ["--seed", "0"]) == 0
+        assert capsys.readouterr() == unset
+        for value in ("123", "x", "-2"):
+            monkeypatch.setenv("BPFOLIO_SEED", value)
+            assert main(argv) == 0
+            assert capsys.readouterr() == unset
 
-    def test_invalid_env_seed_is_usage_error(self, capsys, monkeypatch):
-        monkeypatch.setenv("BPFOLIO_SEED", "not-a-number")
-        code = main(["solve", "--model", "mv", "--random", "--n", "10", "--p", "30"])
-        assert code == 1
-
-    @pytest.mark.parametrize("argv", [
-        ["solve", "--model", "mv", "--random", "--n", "10", "--p", "30"],
-        ["sweep", "--model", "mv", "--alphas", "2", "--n", "10", "--trials", "2"],
-        ["ky", "--n", "10", "--p", "20", "--trials", "2"],
-    ])
-    def test_negative_seed_is_usage_error_naming_its_source(self, capsys, monkeypatch, argv):
+    @pytest.mark.parametrize("argv", _SEEDED_COMMANDS)
+    def test_negative_seed_is_usage_error_naming_its_source(self, capsys, argv):
         assert main(argv + ["--seed", "-1"]) == 1
         assert capsys.readouterr().err == (
             "bpfolio: error: --seed must be a non-negative integer, got -1\n")
-        monkeypatch.setenv("BPFOLIO_SEED", "-2")
-        assert main(argv) == 1
-        assert capsys.readouterr().err == (
-            "bpfolio: error: BPFOLIO_SEED must be a non-negative integer, got -2\n")
-        # the variable stands in only for a missing --seed
         assert main(argv + ["--seed", "0"]) == 0
 
 
@@ -670,3 +686,16 @@ class TestOutputFiles:
         assert err.count("\n") == 1
         assert repr(str(tmp_path / "taken")) in err and ".bpfolio-" not in err
         assert os.listdir(tmp_path) == ["taken"]
+
+
+def test_readme_command_lines_parse():
+    # every documented example uses only options the parser knows
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    with open(os.path.join(root, "README.md"), encoding="utf-8") as handle:
+        blocks = handle.read().split("```")[1::2]
+    lines = [line for block in blocks for line in block.splitlines()
+             if line.startswith("bpfolio ")]
+    assert lines
+    parser = cli._build_parser()
+    for line in lines:
+        parser.parse_args(shlex.split(line)[1:])

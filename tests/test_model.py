@@ -550,9 +550,9 @@ class TestTwoPartRead:
 
         read_rows = model._read_rows
 
-        def interrupted(handle, start, end, n_assets):
-            part = read_rows(handle, start, end, n_assets)
-            if start == 0 and end is not None:  # this process's part of two
+        def interrupted(handle, end, n_assets):
+            part = read_rows(handle, end, n_assets)
+            if end is not None:  # this process's part of two
                 raise Injected
             return part
 
