@@ -238,8 +238,7 @@ _SPLIT_BYTES = 1 << 23
 _NUMBER_BYTES = b"0123456789.eE+-, \t"
 
 
-def _read_rows(handle, end: Optional[int],
-               n_assets: int) -> tuple[Optional[np.ndarray], int]:
+def _read_rows(handle, end: Optional[int], n_assets: int) -> tuple[Optional[np.ndarray], int]:
     """The rows of a binary input from where handle stands, at a line start,
     through its next `end` bytes, which end at a line start too, or to the
     end of the input when end is None, and their count: an array of at most
