@@ -247,14 +247,15 @@ def _replica_columns(model: CostModel, alpha: float, config: BpConfig) -> tuple[
     else the ad fixed point's q at config.beta (nan where it fails) and eps nan,
     and nan for both for a generic cost, which has no theory here."""
     if model.kind == "mv":
-        return theory.rs_closed_form_mv(alpha, config.beta).q, (alpha - 1.0) / 2.0
+        # q and eps hold at every beta; only chi and delta leave the float range
+        return alpha / (alpha - 1.0) if alpha > 1.0 else math.inf, (alpha - 1.0) / 2.0
     if model.kind != "ad":
         return math.nan, math.nan
     if engine.zero_temperature(model, config):
         return theory.rs_zero_temperature_ad(alpha)
     try:
         return theory.rs_fixed_point(alpha, config.beta, model).q, math.nan
-    except theory.ReplicaConvergenceError:
+    except (theory.ReplicaConvergenceError, ValueError):  # no fixed point, or beyond floats
         return math.nan, math.nan
 
 
@@ -293,10 +294,10 @@ def run_sweep(model: CostModel, alphas, n_assets: int, trials: int, base_seed: i
     references are the closed forms of theory.rs_zero_temperature_ad (q
     2.485 and eps 0.9405 at alpha=2). An explicit beta below 2^20 solves at
     finite temperature, and its q reference is the replica fixed point at
-    that beta, nan where that fixed point does not converge; its eps has no
-    closed form and is reported nan. A generic cost has neither reference,
-    so both columns are nan. Fewer than 2 assets or 1 trial, or an invalid
-    beta, raise ReturnsParseError (a ValueError).
+    that beta, nan where that fixed point does not converge or leaves the
+    float range; its eps has no closed form and is reported nan. A generic
+    cost has neither reference, so both columns are nan. Fewer than 2 assets
+    or 1 trial, or an invalid beta, raise ReturnsParseError (a ValueError).
     """
     if n_assets < 2:
         raise ReturnsParseError(f"need at least 2 assets, got {n_assets}")
@@ -335,8 +336,6 @@ def cmd_sweep(args) -> tuple[str, int]:
                              for a in alphas):
         raise ReturnsParseError("sweep alphas must all be finite and exceed 1 "
                                 f"as round(alpha*n)/n at n={args.n}")
-    if args.trials < 1:
-        raise ReturnsParseError("trials must be at least 1")
     return run_sweep(_MODELS[args.model], alphas, args.n, args.trials, _seed(args),
                      beta=args.beta), EXIT_OK
 
@@ -390,7 +389,7 @@ def cmd_ky(args) -> tuple[str, int]:
     if args.n is None or args.p is None:
         raise ReturnsParseError("random mode requires --n and --p (or use --counterexample)")
     if args.trials < 1:
-        raise ReturnsParseError("trials must be at least 1")
+        raise ReturnsParseError(f"trials must be at least 1, got {args.trials}")
     if 1 <= args.p < args.n:  # below one period, generate_returns names the error
         with _user_input():
             oracles.require_periods(args.n, args.p)

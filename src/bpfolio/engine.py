@@ -188,8 +188,9 @@ def asset_sweep(x: np.ndarray, variances, m_w: np.ndarray, m_u: np.ndarray,
     because the mean update is linear in it, and the undamped means
     chi_w * (h_w + m_tilde) then satisfy sum m_w = N exactly.
     The returned m_w is always a new array, never the m_w passed in.
-    A vanishing cavity variance (the alpha <= 1 phase or a blow-up) gives
-    chi_w = inf, hence m_tilde = NaN and an all-NaN m_w, without a warning;
+    A vanishing cavity variance (the alpha <= 1 phase, a blow-up, or a
+    subnormal one at a beta near 1e-320) gives chi_w = inf, hence
+    m_tilde = NaN and an all-NaN m_w, without a warning;
     _iterate reads its NaN overlap as divergence.
     """
     n = x.shape[-2]
@@ -197,7 +198,7 @@ def asset_sweep(x: np.ndarray, variances, m_w: np.ndarray, m_u: np.ndarray,
     h_w = np.matvec(x, m_u)
     h_w /= math.sqrt(n)
     h_w += chi_tilde_w * m_w
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         chi_w = 1.0 / chi_tilde_w
         m_tilde = ((n - np.vecdot(chi_w, h_w, keepdims=True))
                    / np.add.reduce(chi_w, axis=-1, keepdims=True))
@@ -298,10 +299,10 @@ def _iterate(instances, model: CostModel, config: BpConfig, max_sum: bool):
     when chi_w is not finite, see asset_sweep), it is discarded, uncounted,
     and that instance ends diverged with its last kept iterate and delta.
 
-    Each instance is a row of the stack. A row that converges or diverges is
-    recorded and leaves the stack at once, so no row sweeps past its end and
-    none sweeps a NaN iterate; the rows still running share the sweep count,
-    hence beta and the hold phase.
+    Each instance is a row of the stack. A row that converges or diverges
+    gets its result and leaves the stack at once, so no row sweeps past its
+    end and none sweeps a NaN iterate; the rows still running share the sweep
+    count, hence beta and the hold phase, and get theirs when the loop ends.
     """
     if not instances:
         return []
@@ -322,20 +323,16 @@ def _iterate(instances, model: CostModel, config: BpConfig, max_sum: bool):
         burn_in = AVG_BURN_SWEEPS if len(ladder) > 1 else None
     ramp_sweeps = len(ladder) - 1  # sweeps before the final beta
 
-    # per instance, written when its row stops
-    positions = np.empty((batch, n))
-    sweeps_used = np.zeros(batch, dtype=int)
-    final_delta = np.empty(batch)
-    converged = np.zeros(batch, dtype=bool)
-    diverged = np.zeros(batch, dtype=bool)
+    results = [None] * batch
 
-    def stop(stopped, status, reported):
-        """Record the rows in stopped as ended with status, reporting their rows of reported."""
-        index = rows[stopped]
-        status[index] = True
-        positions[index] = reported[stopped]
-        sweeps_used[index] = total
-        final_delta[index] = delta[stopped]
+    def stop(ended, reported, converged=False, diverged=False):
+        """Build the result of each row in ended, reporting its row of reported."""
+        for row in np.flatnonzero(ended):
+            portfolio = Portfolio(positions=reported[row])
+            q_hat, eps_hat = observables(portfolio, instances[rows[row]], model)
+            results[rows[row]] = (portfolio, Diagnostics(
+                q_hat=q_hat, eps_hat=eps_hat, converged=converged, diverged=diverged,
+                sweeps_used=total, final_delta=float(delta[row])))
 
     rows = np.arange(batch)  # the instance of each row still in the stack
     delta = np.full(batch, np.inf)
@@ -351,7 +348,7 @@ def _iterate(instances, model: CostModel, config: BpConfig, max_sum: bool):
         # the largest overlap is that of the largest square sum; a NaN fails too
         if not np.maximum.reduce(squares) / n <= DIVERGENCE_THRESHOLD:
             blown = ~(squares / n <= DIVERGENCE_THRESHOLD)
-            stop(blown, diverged, m_w)
+            stop(blown, m_w, diverged=True)
             x, variances, rows, m_w, swept, chi_w, m_u, delta, avg_accum = _keep(
                 ~blown, x, rows, m_w, swept, chi_w, m_u, delta, avg_accum)
             if not rows.size:
@@ -367,28 +364,12 @@ def _iterate(instances, model: CostModel, config: BpConfig, max_sum: bool):
         if total > ramp_sweeps:
             if np.minimum.reduce(delta) < config.tol:
                 done = delta < config.tol
-                stop(done, converged, m_w)
+                stop(done, m_w, converged=True)
                 x, variances, rows, m_w, chi_w, m_u, delta, avg_accum = _keep(
                     ~done, x, rows, m_w, chi_w, m_u, delta, avg_accum)
             if burn_in is not None and total - ramp_sweeps > burn_in:
                 avg_accum += m_w
                 avg_count += 1
     # the rows left ran out of sweeps
-    positions[rows] = m_w if avg_count == 0 else avg_accum / avg_count
-    sweeps_used[rows] = total
-    final_delta[rows] = delta
-
-    results = []
-    for i, returns in enumerate(instances):
-        portfolio = Portfolio(positions=positions[i])
-        q_hat, eps_hat = observables(portfolio, returns, model)
-        diagnostics = Diagnostics(
-            q_hat=q_hat,
-            eps_hat=eps_hat,
-            converged=bool(converged[i]),
-            diverged=bool(diverged[i]),
-            sweeps_used=int(sweeps_used[i]),
-            final_delta=float(final_delta[i]),
-        )
-        results.append((portfolio, diagnostics))
+    stop(np.full(rows.size, True), m_w if avg_count == 0 else avg_accum / avg_count)
     return results

@@ -295,6 +295,25 @@ class TestSweepCommand:
         assert main(["sweep", "--model", "mv", "--alphas", "2", "--trials", "0"]) == 1
         assert "trials must be at least 1" in capsys.readouterr().err
 
+    def test_trials_below_one_named_as_the_library_names_it(self, capsys):
+        assert main(["sweep", "--model", "mv", "--alphas", "2", "--trials", "0"]) == 1
+        assert capsys.readouterr().err == "bpfolio: error: trials must be at least 1, got 0\n"
+
+    @pytest.mark.parametrize("model, beta, q_replica, eps_replica", [
+        ("mv", "1e300", "2", "0.5"),  # rs_closed_form_mv's delta overflows
+        ("mv", "1e-320", "2", "0.5"),  # its chi overflows
+        ("ad", "1e-320", "nan", "nan"),  # rs_fixed_point's mean-variance start does
+    ])
+    def test_replica_reference_beyond_floats_still_prints_the_row(
+            self, capsys, model, beta, q_replica, eps_replica):
+        assert main(["sweep", "--model", model, "--alphas", "2", "--n", "3",
+                     "--trials", "1", "--beta", beta]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0] == SWEEP_CSV_HEADER
+        row = dict(zip(lines[0].split(","), lines[1].split(",")))
+        assert (row["alpha"], row["q_replica"], row["eps_replica"]) == ("2", q_replica,
+                                                                       eps_replica)
+
     @pytest.mark.parametrize("model, q_replica, eps_replica", [
         (MEAN_VARIANCE, 10.0 / 3.0, 1.5 / 7.0),
         (ABSOLUTE_DEVIATION, *theory.rs_zero_temperature_ad(10.0 / 7.0)),
@@ -485,6 +504,9 @@ class TestKyCommand:
     def test_random_mode_rejects_fewer_than_one_trial(self, capsys):
         assert main(["ky", "--n", "5", "--p", "10", "--trials", "0"]) == 1
         assert main(["ky", "--n", "5", "--p", "10", "--trials", "-3"]) == 1
+        # worded as sweep's check, which run_sweep makes
+        assert capsys.readouterr().err == ("bpfolio: error: trials must be at least 1, got 0\n"
+                                           "bpfolio: error: trials must be at least 1, got -3\n")
 
     def test_random_mode_rejects_fewer_periods_than_assets(self, capsys, monkeypatch):
         # the mean-variance optimum needs p >= N, checked before any trial

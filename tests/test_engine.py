@@ -525,6 +525,30 @@ class TestSolveBatch:
         for returns, result in zip(instances, together):
             assert _bits(result) == _bits(solve(returns, ABSOLUTE_DEVIATION))
 
+    def test_rows_ending_all_three_ways_bitwise_as_alone(self, monkeypatch):
+        # a 6 x 12 draw whose last three assets have no returns leaves the
+        # asset side without variance and diverges; the others converge or
+        # run out of the 120 sweeps, so the stack shrinks three times
+        zeroed = generate_returns(6, 12, 10).entries.copy()
+        zeroed[:, 3:] = 0.0
+        instances = [generate_returns(6, 12, seed) for seed in range(4)] + [ReturnSet(zeroed)]
+        config = dataclasses.replace(default_config(MEAN_VARIANCE), max_sweeps=120)
+        stacked = []
+        original = engine.period_sweep
+
+        def recording(x, *args):
+            stacked.append(x.shape[0])
+            return original(x, *args)
+
+        monkeypatch.setattr(engine, "period_sweep", recording)
+        together = solve_batch(instances, MEAN_VARIANCE, config)
+        assert [(d.converged, d.diverged, d.sweeps_used) for _, d in together] == [
+            (False, False, 120), (True, False, 107), (True, False, 116),
+            (False, False, 120), (False, True, 18)]
+        assert [stacked.count(size) for size in (5, 4, 3, 2)] == [19, 88, 9, 4]
+        for returns, result in zip(instances, together):
+            assert _bits(result) == _bits(solve(returns, MEAN_VARIANCE, config))
+
     def test_single_instance_is_stacked_without_a_copy(self, monkeypatch):
         returns = generate_returns(20, 40, 0)
         seen = []
