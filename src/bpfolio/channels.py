@@ -10,7 +10,9 @@ converge exponentially, and an element whose sums agree with those of every
 other grid point is done. The rest, such as a kink in the live window, go
 through adaptive Gauss-Kronrod quadrature (the G7-K15 pair of QUADPACK): each
 refinement round is one cost call on a flat array of every open panel, and no
-step loops over elements in Python.
+step loops over elements in Python. The scan grid is row-major, so every
+pass over it reads contiguous memory, and the trapezoid stage floors its log
+weights above the range where np.exp is slow (see _trapezoid_moments).
 
 The absolute-deviation cost also has a max-sum channel, the beta -> infinity
 form of the same derivatives with Z replaced by its Laplace (maximum) term:
@@ -51,6 +53,13 @@ _MAX_DEPTH = 60
 # trapezoid stage: the scan grid's sums and those of every other point must
 # give the same Z0 (relative), and the same offset and variance of z, to this
 _TRAPEZOID_TOL = 1e-13
+# its log weights are floored here, above the -708 where np.exp turns slow
+_EXP_FLOOR = -700.0
+# its two rules, every point and every other point twice, on the longest scan
+# grid (order 256); a grid of n points takes the first n rows
+_TRAPEZOID_RULES = np.zeros((8 * 256, 2))
+_TRAPEZOID_RULES[:, 0] = 1.0
+_TRAPEZOID_RULES[::2, 1] = 2.0
 
 # G7-K15 pair on [-1, 1] (QUADPACK qk15): the Kronrod nodes and weights, and
 # the Gauss weights on the odd-indexed nodes
@@ -286,7 +295,12 @@ def _scan(h, root, beta, cost, order):
     center = -h / root  # cost-dominated region for coercive R
     lo = np.minimum(0.0, center) - _WINDOW_MARGIN
     hi = np.maximum(0.0, center) + _WINDOW_MARGIN
-    grid = np.linspace(lo, hi, 8 * order, axis=-1)
+    # np.linspace(lo, hi, count, axis=-1) bit for bit, but row-major: linspace
+    # builds it column by column and returns a strided view
+    count = 8 * order
+    grid = np.arange(count) * ((hi - lo) / (count - 1))[:, None]
+    grid += lo[:, None]
+    grid[:, -1] = hi
     return grid, _log_weight(grid, root[:, None], h[:, None], beta, cost)
 
 
@@ -305,26 +319,32 @@ def _trapezoid_moments(grid, values):
     the rules give the same Z0 to _TRAPEZOID_TOL relative, and the same
     offset E[z] - z_hat and variance to _TRAPEZOID_TOL; the fine rule's
     values are returned. The step cancels from every compared quantity.
+
+    psi - max psi is floored at _EXP_FLOOR (on a copy; `values` stays as
+    it is): np.exp leaves its vector loop below about -708, where a scan's
+    far tails lie. A floored weight reads e^-700 ~ 1e-304 where it read
+    from 0 to that; the sums lose the difference long before they reach
+    the weights near the peak, so an element the stage can accept keeps
+    the unfloored formula's bits (the channel tests pin this).
     """
     rows = np.arange(grid.shape[0])
     peak = np.argmax(values, axis=1)
     z_hat = grid[rows, peak]
-    w = np.exp(values - values[rows, peak][:, None])
+    w = values - values[rows, peak][:, None]
+    np.maximum(w, _EXP_FLOOR, out=w)
+    np.exp(w, out=w)
     d = grid - z_hat[:, None]
     dw = d * w
-    rules = np.zeros((grid.shape[1], 2))
-    rules[:, 0] = 1.0
-    rules[::2, 1] = 2.0
+    rules = _TRAPEZOID_RULES[:grid.shape[1]]
     # each moment's fine and coarse sums; three products beat one on a stack
     (z0, z0_coarse), (z1, z1_coarse), (z2, z2_coarse) = (
         (moment @ rules).T for moment in (w, dw, d * dw))
     offset = z1 / z0  # z0 >= 1, from the peak itself
     variance = z2 / z0 - offset * offset
-    # a peak narrower than the step can leave z0_coarse = 0; the NaNs that
-    # gives fail every comparison below
-    with np.errstate(divide="ignore", invalid="ignore"):
-        offset_coarse = z1_coarse / z0_coarse
-        variance_coarse = z2_coarse / z0_coarse - offset_coarse * offset_coarse
+    # the floor keeps z0_coarse above count * e^-700, even for a peak
+    # narrower than the step
+    offset_coarse = z1_coarse / z0_coarse
+    variance_coarse = z2_coarse / z0_coarse - offset_coarse * offset_coarse
     accepted = ((np.abs(z0 - z0_coarse) <= _TRAPEZOID_TOL * z0)
                 & (np.abs(offset - offset_coarse) <= _TRAPEZOID_TOL)
                 & (np.abs(variance - variance_coarse) <= _TRAPEZOID_TOL))

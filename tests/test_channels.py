@@ -5,8 +5,10 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from bpfolio.channels import (
+    _WINDOW_MARGIN,
     _adaptive_moments,
     _scan,
+    _trapezoid_moments,
     channel_absolute_deviation,
     channel_absolute_deviation_max_sum,
     channel_for,
@@ -349,6 +351,115 @@ class TestGenericChannelStages:
         m_a, chi_a = adaptive_channel(h, chi_tilde, beta, HUBER)
         assert m == pytest.approx(m_a[0], rel=1e-10, abs=1e-10)
         assert chi == pytest.approx(chi_a[0], rel=1e-10, abs=1e-10)
+
+
+def unfloored_trapezoid_moments(grid, values):
+    """The trapezoid stage with a plain exp and a rules matrix built per call."""
+    rows = np.arange(grid.shape[0])
+    peak = np.argmax(values, axis=1)
+    z_hat = grid[rows, peak]
+    w = np.exp(values - values[rows, peak][:, None])
+    d = grid - z_hat[:, None]
+    dw = d * w
+    rules = np.zeros((grid.shape[1], 2))
+    rules[:, 0] = 1.0
+    rules[::2, 1] = 2.0
+    (z0, z0_coarse), (z1, z1_coarse), (z2, z2_coarse) = (
+        (moment @ rules).T for moment in (w, dw, d * dw))
+    offset = z1 / z0
+    variance = z2 / z0 - offset * offset
+    with np.errstate(divide="ignore", invalid="ignore"):
+        offset_coarse = z1_coarse / z0_coarse
+        variance_coarse = z2_coarse / z0_coarse - offset_coarse * offset_coarse
+    accepted = ((np.abs(z0 - z0_coarse) <= 1e-13 * z0)
+                & (np.abs(offset - offset_coarse) <= 1e-13)
+                & (np.abs(variance - variance_coarse) <= 1e-13))
+    return z_hat + offset, variance, accepted
+
+
+def same_bits(a, b):
+    a, b = np.ascontiguousarray(a), np.ascontiguousarray(b)
+    return a.shape == b.shape and np.array_equal(a.view(np.uint8), b.view(np.uint8))
+
+
+# weights that np.exp would make subnormal (-745 to -708) or 0 (below -745)
+# in the scan tails: a narrow quadratic, and kinked costs at large beta
+DEEP_TAIL_CASES = [
+    (lambda u: 0.5 * u * u, 1e3, 1e-4),
+    (lambda u: 0.5 * u * u, 1e4, 1e-4),
+    (lambda u: 0.5 * u * u, 1e5, 1e-4),
+    (np.abs, 1.0, 1.0),
+    (np.abs, 30.0, 0.5),
+    (HUBER, 3.0, 2.0),
+    (HUBER, 100.0, 0.01),
+]
+
+
+class TestGenericChannelTrapezoidStage:
+    """The scan grid and the floored exp of the trapezoid stage keep the old bits."""
+
+    H = np.array([0.0, 0.3, -0.3, 2.0, -7.0, 60.0, -450.0])
+    CHI = np.array([1e-4, 1e-3, 1e-2, 1e-1, 1.0, 1e1, 1e2])
+
+    @pytest.mark.parametrize("order", [16, 64, 256])
+    def test_scan_grid_is_linspace_row_major(self, order):
+        # |h|/sqrt(chi) reaches 4.5e4 here, far beyond the 46 margin
+        h, chi_tilde = (a.ravel() for a in np.meshgrid(self.H, self.CHI))
+        root = np.sqrt(chi_tilde)
+        grid, _ = _scan(h, root, 1.0, lambda u: 0.5 * u * u, order)
+        center = -h / root
+        reference = np.linspace(np.minimum(0.0, center) - _WINDOW_MARGIN,
+                                np.maximum(0.0, center) + _WINDOW_MARGIN,
+                                8 * order, axis=-1)
+        assert np.abs(center).max() > 100.0 * _WINDOW_MARGIN
+        assert grid.flags.c_contiguous
+        assert same_bits(grid, reference)
+
+    @pytest.mark.parametrize("order", [16, 64, 256])
+    @pytest.mark.parametrize("cost, beta, chi_tilde", DEEP_TAIL_CASES)
+    def test_floored_exp_matches_plain_exp(self, cost, beta, chi_tilde, order):
+        h = np.linspace(-3.0, 3.0, 13)
+        root = np.full(h.shape, np.sqrt(chi_tilde))
+        grid, values = _scan(h, root, beta, cost, order)
+        shifted = values - values.max(axis=1)[:, None]
+        assert np.any(shifted < -745.0)
+        kept = values.copy()
+        result = _trapezoid_moments(grid, values)
+        assert same_bits(values, kept)
+        for got, want in zip(result, unfloored_trapezoid_moments(grid, values)):
+            assert same_bits(got, want)
+
+    def test_subnormal_weights_are_covered(self):
+        # at least one case sends scan weights into the subnormal range
+        subnormal = 0
+        for cost, beta, chi_tilde in DEEP_TAIL_CASES:
+            h = np.linspace(-3.0, 3.0, 13)
+            _, values = _scan(h, np.full(h.shape, np.sqrt(chi_tilde)), beta, cost, 64)
+            shifted = values - values.max(axis=1)[:, None]
+            subnormal += np.count_nonzero((shifted > -745.0) & (shifted < -708.0))
+        assert subnormal > 0
+
+    def test_peak_narrower_than_the_step_is_turned_down(self):
+        # every weight but the peak's is floored, so the coarse sum is tiny
+        # but positive whichever rule holds the peak
+        h = np.linspace(-0.05, 0.05, 9)
+        grid, values = _scan(h, np.ones(h.shape), 1e8, lambda u: 0.5 * u * u, 64)
+        assert {0, 1} <= set(np.argmax(values, axis=1) % 2)
+        with np.errstate(divide="raise", invalid="raise"):
+            mean, variance, accepted = _trapezoid_moments(grid, values)
+        assert np.all(np.isfinite(mean)) and np.all(np.isfinite(variance))
+        assert not np.any(accepted)
+
+    def test_orders_in_turn_give_the_bits_of_fresh_rules(self):
+        # the rules matrix is shared across grid lengths; a call at one order
+        # must not leave anything behind for the next
+        h = np.linspace(-3.0, 3.0, 13)
+        root = np.full(h.shape, 1e-2)
+        for order in (16, 64, 16, 256, 64):
+            grid, values = _scan(h, root, 1e3, lambda u: 0.5 * u * u, order)
+            for got, want in zip(_trapezoid_moments(grid, values),
+                                 unfloored_trapezoid_moments(grid, values)):
+                assert same_bits(got, want)
 
 
 class TestGenericChannelCostCalls:
