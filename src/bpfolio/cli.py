@@ -76,15 +76,16 @@ def _emit(text: str, out_path: str | None) -> None:
         print(text)
         return
     directory = os.path.dirname(os.path.abspath(out_path)) or "."
-    fd, tmp_path = tempfile.mkstemp(dir=directory, prefix=".bpfolio-", suffix=".part")
+    tmp_path = None
     try:
+        fd, tmp_path = tempfile.mkstemp(dir=directory, prefix=".bpfolio-", suffix=".part")
         with os.fdopen(fd, "w", encoding="utf-8") as handle:
             handle.write(text if text.endswith("\n") else text + "\n")
         os.replace(tmp_path, out_path)
     except OSError as exc:  # name the target, not the temporary file removed below
         raise OSError(exc.errno, exc.strerror, out_path) from None
     finally:
-        if os.path.exists(tmp_path):
+        if tmp_path is not None and os.path.exists(tmp_path):
             os.unlink(tmp_path)
 
 
@@ -242,13 +243,13 @@ def _mean_and_se(values) -> tuple[float, float]:
 
 
 def _replica_columns(model: CostModel, alpha: float, config: BpConfig) -> tuple[float, float]:
-    """The sweep row's replica (q, eps) for solves run with config: the mv closed
-    forms, the ad zero-temperature closed forms for a zero-temperature solve,
-    else the ad fixed point's q at config.beta (nan where it fails) and eps nan,
-    and nan for both for a generic cost, which has no theory here."""
+    """The sweep row's replica (q, eps) for solves run with config: mv's from
+    marchenko_pastur, the ad zero-temperature closed forms for a zero-temperature
+    solve, else the ad fixed point's q at config.beta (nan where it fails) and eps
+    nan, and nan for both for a generic cost, which has no theory here."""
     if model.kind == "mv":
-        # q and eps hold at every beta; only chi and delta leave the float range
-        return alpha / (alpha - 1.0) if alpha > 1.0 else math.inf, (alpha - 1.0) / 2.0
+        stats = theory.marchenko_pastur(alpha)
+        return stats.q, stats.eps
     if model.kind != "ad":
         return math.nan, math.nan
     if engine.zero_temperature(model, config):
@@ -288,16 +289,16 @@ def run_sweep(model: CostModel, alphas, n_assets: int, trials: int, base_seed: i
     beta 1 averages over its hold phase and reports converged=False; at
     N=100, alpha=2 the default solve's cost sat 1.3e-4 above the LP optimum
     on average over 100 draws, 3.7e-4 at worst). The mean-variance
-    references are the closed forms q = alpha/(alpha-1) and eps =
-    (alpha-1)/2. The default absolute-deviation sweep (no beta, or one of at
-    least 2^20) is zero-temperature: its trials run max-sum BP and its
-    references are the closed forms of theory.rs_zero_temperature_ad (q
-    2.485 and eps 0.9405 at alpha=2). An explicit beta below 2^20 solves at
-    finite temperature, and its q reference is the replica fixed point at
-    that beta, nan where that fixed point does not converge or leaves the
-    float range; its eps has no closed form and is reported nan. A generic
-    cost has neither reference, so both columns are nan. Fewer than 2 assets
-    or 1 trial, or an invalid beta, raise ReturnsParseError (a ValueError).
+    references are the q and eps of theory.marchenko_pastur. The default
+    absolute-deviation sweep (no beta, or one of at least 2^20) is
+    zero-temperature: its trials run max-sum BP and its references are the
+    closed forms of theory.rs_zero_temperature_ad (q 2.485 and eps 0.9405 at
+    alpha=2). An explicit beta below 2^20 solves at finite temperature, and
+    its q reference is the replica fixed point at that beta, nan where that
+    fixed point does not converge or leaves the float range; its eps has no
+    closed form and is reported nan. A generic cost has neither reference,
+    so both columns are nan. Fewer than 2 assets or 1 trial, or an invalid
+    beta, raise ReturnsParseError (a ValueError).
     """
     if n_assets < 2:
         raise ReturnsParseError(f"need at least 2 assets, got {n_assets}")
@@ -428,8 +429,8 @@ def _build_parser() -> _Parser:
     solve.add_argument("--p", type=int, help="number of periods (random mode)")
     solve.add_argument("--seed", type=int)
     solve.add_argument("--beta", type=float, help="inverse temperature "
-                       "(mv/generic: run value; ad: ladder top, default 2^20 and "
-                       "zero-temperature, finite-temperature below 2^20)")
+                       "(mv: beta-free, solved at 1; generic: run value; ad: ladder top, "
+                       "default 2^20 and zero-temperature, finite-temperature below 2^20)")
     solve.add_argument("--cost-expr", help="generic cost R(u): arithmetic in u, pi, e and "
                        "the functions " + ", ".join(_COST_FUNCTIONS))
     solve.add_argument("--center", action="store_true",

@@ -46,8 +46,8 @@ def default_config(model: CostModel, beta: float = None) -> BpConfig:
     sweep, for ZERO_TEMPERATURE_MAX_SWEEPS. An explicit beta in
     (1, AD_BETA_TOP) anneals the finite-temperature channel up the ladder of
     beta_ladder, and its AD_MAX_SWEEPS budget leaves room for that ramp and a
-    hold phase at the top. For the mean-variance cost the fixed point is
-    beta-independent, so beta=1 is as exact as any other choice.
+    hold phase at the top. The mean-variance optimum does not depend on beta,
+    and far from 1 the sweeps lose digits, so `mv` gets beta 1 for any valid beta.
     """
     if model.kind == "ad":
         top = float(beta) if beta is not None else AD_BETA_TOP
@@ -56,17 +56,14 @@ def default_config(model: CostModel, beta: float = None) -> BpConfig:
         if top >= AD_BETA_TOP:
             return BpConfig(beta=top, max_sweeps=ZERO_TEMPERATURE_MAX_SWEEPS)
         return BpConfig(beta=top, max_sweeps=AD_MAX_SWEEPS)
+    config = BpConfig(beta=float(beta) if beta is not None else 1.0)
     if model.kind == "mv":
         # the linear MV iteration contracts to a delta floor near 1e-15, and a
         # loose stop leaves the iterate ~delta/(1-rho) short of the fixed point,
         # which per small components reads as ~1e-6; run it to the floor so the
-        # closed-form match holds per component. Its message passing is AMP for
-        # least squares, whose error contracts by d + (1-d)/sqrt(alpha) per
-        # sweep at damping d (state evolution), so it runs undamped: at alpha 2
-        # it reaches the floor in about 97 sweeps, against 225 at d = 0.5.
-        return BpConfig(beta=float(beta) if beta is not None else 1.0, damping=0.0,
-                        tol=1e-14)
-    return BpConfig(beta=float(beta) if beta is not None else 1.0)
+        # closed-form match holds per component
+        return replace(config, beta=1.0, tol=1e-14)
+    return config
 
 
 def zero_temperature(model: CostModel, config: BpConfig) -> bool:
@@ -84,11 +81,11 @@ def zero_temperature(model: CostModel, config: BpConfig) -> bool:
 def beta_ladder(model: CostModel, config: BpConfig) -> list[float]:
     """Betas a finite-temperature run walks, one sweep per entry. An `ad`
     solve above beta 1 anneals: from 1 by BETA_RAMP_FACTOR, clamped to end
-    exactly at beta, where solve holds. Every other solve runs at [beta]: a
-    smooth cost needs no ramp to reach its fixed point. The zero-temperature
-    run does not walk it (see zero_temperature)."""
+    exactly at beta, where solve holds. Every other solve runs at [beta]
+    ([1.0] for `mv`): a smooth cost needs no ramp to reach its fixed point.
+    The zero-temperature run does not walk it (see zero_temperature)."""
     if model.kind != "ad" or config.beta <= 1.0:
-        return [config.beta]
+        return [1.0 if model.kind == "mv" else config.beta]
     ladder = [1.0]
     while ladder[-1] < config.beta:
         ladder.append(min(ladder[-1] * BETA_RAMP_FACTOR, config.beta))
@@ -322,6 +319,11 @@ def _iterate(instances, model: CostModel, config: BpConfig, max_sum: bool):
         # only an annealed run holds on a limit cycle; the others report m_w
         burn_in = AVG_BURN_SWEEPS if len(ladder) > 1 else None
     ramp_sweeps = len(ladder) - 1  # sweeps before the final beta
+    # weight of the previous iterate in each mean update. The `mv` message
+    # passing is AMP for least squares, whose error contracts by d +
+    # (1-d)/sqrt(alpha) per sweep at damping d (state evolution), so it runs
+    # undamped: at alpha 2 it reaches the floor in 97 sweeps, against 225 at 0.5
+    damping = 0.0 if model.kind == "mv" else 0.5
 
     results = [None] * batch
 
@@ -341,9 +343,8 @@ def _iterate(instances, model: CostModel, config: BpConfig, max_sum: bool):
     avg_count = 0
     while rows.size and total < config.max_sweeps:
         beta = ladder[min(total, ramp_sweeps)]
-        m_u, chi_u = period_sweep(x, variances, channel, m_w, chi_w, m_u,
-                                  beta, config.damping)
-        swept, chi_w = asset_sweep(x, variances, m_w, m_u, chi_u, config.damping)
+        m_u, chi_u = period_sweep(x, variances, channel, m_w, chi_w, m_u, beta, damping)
+        swept, chi_w = asset_sweep(x, variances, m_w, m_u, chi_u, damping)
         squares = np.vecdot(swept, swept)
         # the largest overlap is that of the largest square sum; a NaN fails too
         if not np.maximum.reduce(squares) / n <= DIVERGENCE_THRESHOLD:

@@ -110,18 +110,16 @@ def generic_model(cost: Callable[[np.ndarray], np.ndarray], order: int = 64) -> 
 
 @dataclass(frozen=True)
 class BpConfig:
-    """Iteration controls for the message-passing solver."""
+    """Iteration controls for the message-passing solver. The engine sets the
+    damping from the model, and solves `mv` at beta 1 whatever beta is."""
 
     beta: float = 1.0
-    damping: float = 0.5  # weight of the previous iterate in each mean update
     tol: float = 1e-10  # max relative change of m_w declaring convergence
     max_sweeps: int = 5000
 
     def __post_init__(self):
         if not 0 < self.beta < math.inf:
             raise ValueError("beta must be positive and finite")
-        if not 0.0 <= self.damping < 1.0:
-            raise ValueError("damping must lie in [0, 1)")
         if not 0 < self.tol < math.inf:
             raise ValueError("tol must be positive and finite")
         if self.max_sweeps < 1:

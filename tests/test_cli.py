@@ -215,6 +215,18 @@ class TestSolveCommand:
                      *extra]) == 1
         assert f"unrecognized arguments: {' '.join(extra)}\n" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv", [
+        ["solve", "--model", "mv", "--random", "--n", "20", "--p", "40", "--seed", "0"],
+        ["sweep", "--model", "mv", "--alphas", "2", "--n", "20", "--trials", "2"],
+    ], ids=["solve", "sweep"])
+    @pytest.mark.parametrize("beta", ["7", "1e50", "1e-307"])
+    def test_mean_variance_beta_changes_no_byte(self, capsys, argv, beta):
+        # the mv optimum does not depend on beta, so the solve runs at 1
+        assert main(argv) == 0
+        default = capsys.readouterr()
+        assert main(argv + ["--beta", beta]) == 0
+        assert capsys.readouterr() == default
+
     def test_center_solves_the_row_demeaned_matrix(self, capsys, tmp_path):
         from bpfolio.model import generate_returns, save_returns
         entries = generate_returns(12, 30, 2).entries + np.linspace(-1.0, 2.0, 12)[:, None]
@@ -697,16 +709,19 @@ class TestOutputFiles:
         assert err.startswith("bpfolio: i/o error:")
         assert err.count("\n") == 1
 
-    def test_failed_write_leaves_no_partial_file(self, capsys, tmp_path):
-        # the rename onto a directory fails after the temp file is written
+    @pytest.mark.parametrize("target", [
+        "taken",  # the rename onto a directory fails after the temp file is written
+        os.path.join("missing", "x.json"),  # the temp file cannot be made
+    ])
+    def test_failed_write_leaves_no_partial_file(self, capsys, tmp_path, target):
         (tmp_path / "taken").mkdir()
-        code = main(["theory", "mp", "--alpha", "2", "--out", str(tmp_path / "taken")])
+        code = main(["theory", "mp", "--alpha", "2", "--out", str(tmp_path / target)])
         assert code == 1
         err = capsys.readouterr().err
         assert err.startswith("bpfolio: i/o error:")
-        # the message names the --out target, not the removed temporary file
+        # the message names the --out target, not the temporary file
         assert err.count("\n") == 1
-        assert repr(str(tmp_path / "taken")) in err and ".bpfolio-" not in err
+        assert repr(str(tmp_path / target)) in err and ".bpfolio-" not in err
         assert os.listdir(tmp_path) == ["taken"]
 
 

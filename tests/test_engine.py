@@ -70,16 +70,33 @@ class TestDefaultConfig:
         assert beta_ladder(MEAN_VARIANCE, config) == [1.0]
         assert config.tol == 1e-14
 
-    def test_mean_variance_beta_passthrough(self):
-        assert default_config(MEAN_VARIANCE, beta=7.0).beta == 7.0
+    def test_mean_variance_is_beta_free(self):
+        # the optimum does not depend on beta, so every beta gives the default
+        for beta in (7.0, 1e50, 1e-307):
+            assert default_config(MEAN_VARIANCE, beta) == default_config(MEAN_VARIANCE)
+        with pytest.raises(ValueError, match="beta"):
+            default_config(MEAN_VARIANCE, -1.0)
 
-    def test_only_mean_variance_runs_undamped(self):
-        assert default_config(MEAN_VARIANCE).damping == 0.0
-        assert default_config(MEAN_VARIANCE, beta=7.0).damping == 0.0
-        assert BpConfig().damping == 0.5
-        for beta in (None, 0.5, 16.0):
-            assert default_config(ABSOLUTE_DEVIATION, beta).damping == 0.5
-        assert default_config(generic_model(lambda u: u ** 4)).damping == 0.5
+    def test_only_mean_variance_runs_undamped(self, monkeypatch):
+        # the engine picks the damping from the model, whatever the config
+        received = []
+
+        def recording(*args):
+            received.append(args[-1])
+            return period_sweep(*args)
+
+        monkeypatch.setattr(engine, "period_sweep", recording)
+        rs = generate_returns(4, 12, 0)
+        quartic = generic_model(lambda u: u ** 4)
+        for model, config, damping in [
+                (MEAN_VARIANCE, default_config(MEAN_VARIANCE), 0.0),
+                (MEAN_VARIANCE, BpConfig(), 0.0),
+                (ABSOLUTE_DEVIATION, default_config(ABSOLUTE_DEVIATION), 0.5),
+                (ABSOLUTE_DEVIATION, default_config(ABSOLUTE_DEVIATION, 16.0), 0.5),
+                (quartic, default_config(quartic), 0.5)]:
+            received.clear()
+            solve(rs, model, dataclasses.replace(config, max_sweeps=2))
+            assert received == [damping, damping]
 
     def test_zero_temperature_default_holds_at_the_top_beta(self):
         config = default_config(ABSOLUTE_DEVIATION)
@@ -125,12 +142,12 @@ class TestUniformStart:
         # exactly the m_w of one sweep pair applied to that start by hand
         n, p = 5, 10
         rs = generate_returns(n, p, 0)
-        config = BpConfig(max_sweeps=1)
         variances = cavity_variances(rs.entries)
+        # the engine runs `mv` undamped at beta 1
         m_u, chi_u = period_sweep(rs.entries, variances, channel_mean_variance, np.ones(n),
-                                  np.ones(n), np.zeros(p), config.beta, config.damping)
-        m_w, _ = asset_sweep(rs.entries, variances, np.ones(n), m_u, chi_u, config.damping)
-        port, diag = solve(rs, MEAN_VARIANCE, config)
+                                  np.ones(n), np.zeros(p), 1.0, 0.0)
+        m_w, _ = asset_sweep(rs.entries, variances, np.ones(n), m_u, chi_u, 0.0)
+        port, diag = solve(rs, MEAN_VARIANCE, BpConfig(max_sweeps=1))
         assert diag.sweeps_used == 1
         assert np.array_equal(port.positions, m_w)
 
@@ -269,7 +286,9 @@ class TestSolveMeanVariance:
     def test_matches_closed_form_across_betas(self):
         rs = generate_returns(50, 150, 2)
         exact = exact_mean_variance(rs)
-        for beta in (1.0, 10.0, 1e3):
+        # far from 1 a solve at the asked beta loses digits: at 1e45 and 1e50,
+        # and at 1e-307, it returned a wrong portfolio flagged converged
+        for beta in (1.0, 10.0, 1e3, 1e45, 1e50, 1e-307):
             port, diag = solve(rs, MEAN_VARIANCE, default_config(MEAN_VARIANCE, beta=beta))
             assert diag.converged and not diag.diverged
             rel = np.max(np.abs(port.positions - exact.positions)
@@ -278,11 +297,13 @@ class TestSolveMeanVariance:
 
     def test_undamped_default_reaches_the_floor_in_few_sweeps(self):
         # state evolution predicts ln(1e-14)/ln(1/sqrt(2)) = 93 sweeps at
-        # alpha 2; at damping 0.5 these instances took 222-226
+        # alpha 2; at damping 0.5 these instances took 222-226. A config of the
+        # caller's own runs undamped too
         for seed in range(5):
-            _, diag = solve(generate_returns(100, 200, seed), MEAN_VARIANCE)
-            assert diag.converged and not diag.diverged
-            assert diag.sweeps_used <= 130
+            for config in (None, BpConfig(tol=1e-14)):
+                _, diag = solve(generate_returns(100, 200, seed), MEAN_VARIANCE, config)
+                assert diag.converged and not diag.diverged
+                assert diag.sweeps_used <= 130
 
     def test_marginal_ratio_never_settles(self):
         # p = N instances sit on the phase boundary: the iteration oscillates

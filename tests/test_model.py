@@ -162,7 +162,6 @@ class TestBpConfig:
     def test_defaults_valid(self):
         config = BpConfig()
         assert config.beta == 1.0
-        assert config.damping == 0.5
         assert config.tol == 1e-10
         assert config.max_sweeps == 5000
         assert beta_ladder(ABSOLUTE_DEVIATION, config) == [1.0]
@@ -172,8 +171,6 @@ class TestBpConfig:
         {"beta": -1.0},
         {"beta": math.nan},
         {"beta": math.inf},
-        {"damping": -0.1},
-        {"damping": 1.0},
         {"tol": 0.0},
         {"tol": math.nan},
         {"max_sweeps": 0},
@@ -183,8 +180,8 @@ class TestBpConfig:
             BpConfig(**kwargs)
 
     def test_ladder_without_schedule_is_single_beta(self):
-        # only an `ad` solve above beta 1 anneals
-        assert beta_ladder(MEAN_VARIANCE, BpConfig(beta=3.0)) == [3.0]
+        # only an `ad` solve above beta 1 anneals; `mv` runs at beta 1
+        assert beta_ladder(MEAN_VARIANCE, BpConfig(beta=3.0)) == [1.0]
         assert beta_ladder(generic_model(np.abs), BpConfig(beta=3.0)) == [3.0]
         assert beta_ladder(ABSOLUTE_DEVIATION, BpConfig(beta=0.5)) == [0.5]
 
