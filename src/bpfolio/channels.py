@@ -196,14 +196,15 @@ def _log_weight(z, root, h, beta, cost):
     The cost sees one flat 1-d array per call; a scalar return is broadcast.
     """
     u = z * root + h
-    cost_u = np.broadcast_to(np.asarray(cost(u.ravel()), dtype=float), (u.size,))
-    values = -0.5 * z * z - beta * cost_u.reshape(u.shape)
+    with np.errstate(all="ignore"):  # a cost that leaves the floats is named below
+        cost_u = np.broadcast_to(np.asarray(cost(u.ravel()), dtype=float), (u.size,))
+        values = -0.5 * z * z - beta * cost_u.reshape(u.shape)
     finite = np.isfinite(values)
     if not np.all(finite):
         bad = np.flatnonzero(~finite)[0]
         raise GenericChannelError(
-            f"cost function is not finite at u={u.flat[bad]!r} (node z={z.flat[bad]!r})"
-        )
+            f"cost function is not finite at u={float(u.flat[bad])} "
+            f"(node z={float(z.flat[bad])})")
     return values
 
 
@@ -409,8 +410,9 @@ def channel_generic(h, chi_tilde, beta, cost, order: int = 64):
     mean, variance, accepted = _trapezoid_moments(grid, values)
     rest = np.flatnonzero(~accepted)
     if rest.size:
-        mean[rest], variance[rest] = _adaptive_moments(
-            grid[rest], values[rest], root[rest], h_flat[rest], beta, cost)
+        with np.errstate(all="ignore"):  # a non-finite result is named below
+            mean[rest], variance[rest] = _adaptive_moments(
+                grid[rest], values[rest], root[rest], h_flat[rest], beta, cost)
     m_out = (mean / root).reshape(h_arr.shape)
     chi_out = np.maximum((1.0 - variance) / chi_flat, 0.0).reshape(h_arr.shape)
     if not (np.all(np.isfinite(m_out)) and np.all(np.isfinite(chi_out))):

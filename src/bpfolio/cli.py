@@ -245,8 +245,8 @@ def _mean_and_se(values) -> tuple[float, float]:
 def _replica_columns(model: CostModel, alpha: float, config: BpConfig) -> tuple[float, float]:
     """The sweep row's replica (q, eps) for solves run with config: mv's from
     marchenko_pastur, the ad zero-temperature closed forms for a zero-temperature
-    solve, else the ad fixed point's q at config.beta (nan where it fails) and eps
-    nan, and nan for both for a generic cost, which has no theory here."""
+    solve, else the q of the ad fixed point at config.beta, whose rule splits at the
+    clip points (nan where it fails), and eps nan; nan for both for a generic cost."""
     if model.kind == "mv":
         stats = theory.marchenko_pastur(alpha)
         return stats.q, stats.eps
@@ -352,8 +352,7 @@ def cmd_theory(args) -> tuple[str, int]:
             if model.kind == "mv":
                 solution = theory.rs_closed_form_mv(args.alpha, args.beta)
             else:
-                solution = theory.rs_fixed_point(args.alpha, args.beta, model,
-                                                 order=args.order)
+                solution = theory.rs_fixed_point(args.alpha, args.beta, model)
             record = dataclasses.asdict(solution)
         elif args.which == "mp":
             record = dataclasses.asdict(theory.marchenko_pastur(args.alpha))
@@ -455,7 +454,6 @@ def _build_parser() -> _Parser:
     theory_cmd.add_argument("--alpha", type=float, required=True)
     theory_cmd.add_argument("--beta", type=float, default=1.0)
     theory_cmd.add_argument("--model", choices=("mv", "ad", "es"), default="mv")
-    theory_cmd.add_argument("--order", type=int, default=64)
     theory_cmd.add_argument("--s", type=float, default=1.0, help="portfolio spread (annealed)")
     theory_cmd.add_argument("--gamma", type=float, help="expected-shortfall level")
     theory_cmd.add_argument("--out")

@@ -1,7 +1,6 @@
 """Replica-symmetric order parameters, Marchenko-Pastur moments, annealed costs."""
 from __future__ import annotations
 
-import collections
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -10,7 +9,7 @@ import numpy as np
 
 from .channels import channel_for
 from .model import CostModel, Portfolio, RsSolution
-from .special import gauss_hermite_dz
+from .special import gauss_legendre_dz
 
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
 _SQRT2 = math.sqrt(2.0)
@@ -18,6 +17,7 @@ _LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
 _FIXED_POINT_DAMPING = 0.5
 _FIXED_POINT_CAP = 10_000
 _FIXED_POINT_TOL = 1e-10
+_CLIP_OFFSETS = np.array([0.0] + [sign * 2.0 ** k for sign in (1, -1) for k in range(-3, 13)])
 
 
 @dataclass(frozen=True)
@@ -78,29 +78,28 @@ def rs_closed_form_mv(alpha: float, beta: float) -> RsSolution:
     return RsSolution(q=q, chi=chi, eta=eta, delta=delta, alpha=alpha, beta=beta)
 
 
-def rs_fixed_point(alpha: float, beta: float, model: CostModel,
-                   order: int = 64) -> RsSolution:
+def rs_fixed_point(alpha: float, beta: float, model: CostModel) -> RsSolution:
     """Order parameters from the two-equation replica-symmetric fixed point.
 
     The conditional-mean kernel G(y) = d/dh log int Dz g(z*sqrt(chi)+h) at
-    h = y*sqrt(q) is exactly the channel m-function, so the eta and delta
-    integrals reuse the channel code path in log domain:
-    eta = E_y[y*G(y)], delta = E_y[G(y)^2], with chi = -sqrt(q)/(alpha*eta)
-    and q = 1 + alpha*chi^2*delta. Damped iteration starts from the
-    mean-variance q and chi; a finite alpha <= 1 returns the mean-variance
-    closed form's divergent record, and an iteration that does not settle
-    raises ReplicaConvergenceError.
+    h = y*sqrt(q) is exactly the channel m-function, so eta = E_y[y*G(y)] and
+    delta = E_y[G(y)^2] (chi = -sqrt(q)/(alpha*eta), q = 1 + alpha*chi^2*delta) reuse
+    the channel on special.gauss_legendre_dz's panels. For ad these also break at the
+    clip points y = +-beta*chi/sqrt(q) and 2^k times sqrt(chi/q), the width of the
+    kernel's turn, around them, anew at every step. Damped iteration starts from the
+    mean-variance q and chi; a finite alpha <= 1 returns the mean-variance closed form's
+    divergent record, and an iteration that does not settle raises ReplicaConvergenceError.
     """
-    if order < 32:
-        raise ValueError(f"fixed-point quadrature order must be >= 32, got {order}")
     q, chi = _mean_variance_q_chi(alpha, beta)
     if math.isinf(q):
         return rs_closed_form_mv(alpha, beta)
-    y, v = gauss_hermite_dz(order)
+    rule = gauss_legendre_dz()
+    y, v = rule(())
     channel = channel_for(model)
-
-    residuals: collections.deque[float] = collections.deque(maxlen=5)
     for _ in range(_FIXED_POINT_CAP):
+        if model.kind == "ad":
+            clip = beta * chi / math.sqrt(q) + math.sqrt(chi / q) * _CLIP_OFFSETS
+            y, v = rule(np.concatenate([clip, -clip]))
         kernel, _ = channel(y * math.sqrt(q), chi, beta)
         eta = float(v @ (y * kernel))
         if not eta < 0.0:
@@ -117,7 +116,6 @@ def rs_fixed_point(alpha: float, beta: float, model: CostModel,
         chi_next = -math.sqrt(q) / (alpha * eta)
         q_next = 1.0 + alpha * chi * chi * delta
         residual = max(abs(q_next - q), abs(chi_next - chi))
-        residuals.append(residual)
         q = (1.0 - _FIXED_POINT_DAMPING) * q_next + _FIXED_POINT_DAMPING * q
         chi = (1.0 - _FIXED_POINT_DAMPING) * chi_next + _FIXED_POINT_DAMPING * chi
         if residual < _FIXED_POINT_TOL:
@@ -125,8 +123,7 @@ def rs_fixed_point(alpha: float, beta: float, model: CostModel,
                               alpha=alpha, beta=beta)
     raise ReplicaConvergenceError(
         f"replica fixed point did not converge in {_FIXED_POINT_CAP} iterations; "
-        f"last residuals {['%.3e' % r for r in residuals]}"
-    )
+        f"last residual {residual:.3e}")
 
 
 def rs_zero_temperature_ad(alpha: float) -> tuple[float, float]:

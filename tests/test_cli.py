@@ -153,6 +153,25 @@ class TestSolveCommand:
         assert code == 1
         assert capsys.readouterr().err.startswith(f"bpfolio: error: {message}")
 
+    @pytest.mark.parametrize("extra", [
+        # the adaptive stage's sums overflow, then divide nan by nan
+        ["--cost-expr", "u**2/2", "--n", "10", "--p", "20", "--seed", "4", "--beta", "1e50"],
+        # the expression itself overflows
+        ["--cost-expr", "1e308*u*u", "--n", "3", "--p", "6", "--seed", "0"],
+    ], ids=["beta-1e50", "overflowing-cost"])
+    def test_non_finite_generic_channel_prints_one_error_line(self, extra):
+        # pytest captures warnings in-process, so the child shows what a user
+        # sees: numpy RuntimeWarning blocks, with install paths, came first
+        argv = ["solve", "--model", "generic", "--random", *extra]
+        probe = f"import sys; from bpfolio.cli import main; sys.exit(main({argv!r}))"
+        done = subprocess.run([sys.executable, "-c", probe], capture_output=True,
+                              text=True, timeout=60)
+        assert done.returncode == 1
+        assert done.stdout == ""
+        assert len(done.stderr.splitlines()) == 1
+        assert done.stderr.startswith("bpfolio: error:")
+        assert "np.float64" not in done.stderr
+
     @pytest.mark.parametrize("argv", [
         ["solve", "--model", "mv", "--random", "--n", "4", "--p", "8"],
         ["sweep", "--model", "mv", "--alphas", "2", "--n", "4", "--trials", "2"],
@@ -422,6 +441,12 @@ class TestTheoryCommand:
         assert record["divergent"] is False
         assert 1.0 < record["q"] < 3.0
 
+    def test_quadrature_order_is_not_an_option(self, capsys):
+        # the replica rule is fixed, with no order to pick
+        assert main(["theory", "replica", "--alpha", "2", "--beta", "64", "--model", "ad",
+                     "--order", "64"]) == 1
+        assert "unrecognized arguments: --order 64\n" in capsys.readouterr().err
+
     def test_divergent_phase_is_reported_not_raised(self, capsys):
         code, record = run_json(capsys, ["theory", "replica", "--alpha", "0.5"])
         assert code == 0
@@ -554,8 +579,8 @@ def test_import_leaves_integrate_and_optimize_unloaded():
 
 def test_import_leaves_theory_only_modules_unloaded():
     # statistics (with fractions and decimal) serves only the zero-temperature
-    # ad theory, and numpy.polynomial only the Gauss-Hermite rule; together
-    # they cost about 7 ms of the import
+    # ad theory, and numpy.polynomial only the replica fixed point's Legendre
+    # rule; together they cost about 7 ms of the import
     probe = ("import sys, bpfolio.cli; print(*(name in sys.modules for name in "
              "('statistics', 'fractions', 'decimal', 'numpy.polynomial')))")
     done = subprocess.run([sys.executable, "-c", probe], capture_output=True,

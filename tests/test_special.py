@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 from scipy.special import erfc
 
 from bpfolio.special import (
-    gauss_hermite_dz,
+    gauss_legendre_dz,
     log_gaussian_tail,
     mills_excess,
     mills_ratio,
@@ -118,30 +118,23 @@ class TestMillsExcess:
             assert mills_excess(u) == pytest.approx(1.0 / u, rel=1e-5)
 
 
-class TestGaussHermite:
-    def test_weights_normalized(self):
-        for order in (1, 2, 7, 64, 256):
-            _, weights = gauss_hermite_dz(order)
-            assert weights.sum() == pytest.approx(1.0, abs=1e-14)
-
-    def test_order_one_is_mean(self):
-        nodes, weights = gauss_hermite_dz(1)
-        assert weights @ np.ones(1) == pytest.approx(1.0, abs=1e-15)
-        assert weights @ nodes == pytest.approx(0.0, abs=1e-15)
-
-    def test_gaussian_moments(self):
-        z, weights = gauss_hermite_dz(64)
+class TestGaussLegendre:
+    @pytest.mark.parametrize("breaks", [(), (0.3, -2.71, 5e-4, 7.9), (-1e3, 40.0, 1e-12)])
+    def test_gaussian_moments(self, breaks):
+        # breaks anywhere, also beyond [-14, 14] or between two nodes, keep the
+        # moments; the one panel on each tail beyond 8 misses z^6's by 4.3e-12
+        nodes, weights = gauss_legendre_dz()(np.array(breaks))
         for power, moment in ((0, 1.0), (1, 0.0), (2, 1.0), (3, 0.0),
                               (4, 3.0), (5, 0.0), (6, 15.0)):
-            assert weights @ z ** power == pytest.approx(moment, abs=1e-10)
+            assert weights @ nodes ** power == pytest.approx(moment, abs=1e-11)
+        assert np.all((np.abs(nodes) < 14.0) & (weights > 0.0))
 
-    def test_exact_up_to_polynomial_degree(self):
-        # an order-n rule integrates degree 2n-1 exactly; n=2 handles z^3
-        nodes, weights = gauss_hermite_dz(2)
-        assert weights @ nodes ** 3 == pytest.approx(0.0, abs=1e-13)
-
-    def test_order_validation(self):
-        with pytest.raises(ValueError):
-            gauss_hermite_dz(0)
-        with pytest.raises(ValueError):
-            gauss_hermite_dz(257)
+    def test_break_at_a_kink_keeps_the_rule_exact(self):
+        # E|z - c| = 2 phi(c) + c (2 Phi(c) - 1), exactly integrated once c is a break
+        c = 0.37
+        density = np.exp(-0.5 * c * c) / np.sqrt(2.0 * np.pi)
+        exact = 2.0 * density + c * (1.0 - erfc(c / np.sqrt(2.0)))
+        nodes, weights = gauss_legendre_dz()(np.array([c]))
+        assert weights @ np.abs(nodes - c) == pytest.approx(exact, rel=1e-14)
+        nodes, weights = gauss_legendre_dz()(np.array([]))
+        assert abs(weights @ np.abs(nodes - c) - exact) > 1e-8

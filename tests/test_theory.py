@@ -10,9 +10,12 @@ import scipy.optimize
 import scipy.special
 import scipy.stats
 
+from bpfolio import theory
+from bpfolio.channels import channel_absolute_deviation
 from bpfolio.cli import _replica_columns
 from bpfolio.engine import AD_BETA_TOP, default_config
 from bpfolio.model import ABSOLUTE_DEVIATION, MEAN_VARIANCE, Portfolio, generic_model
+from bpfolio.special import gauss_legendre_dz
 from bpfolio.theory import (
     annealed_cost,
     marchenko_pastur,
@@ -84,8 +87,7 @@ class TestFixedPoint:
         # as beta grows the kernel saturates to a clipped linear map and the
         # fixed point solves 2*Phi(t) - 1 = 1/alpha with t = beta*chi/sqrt(q)
         # and q = 1/(1 - alpha*(F(t) + 2 t^2 (1-Phi(t)))), F the second moment
-        # of a standard Gaussian truncated to [-t, t]; quadrature against the
-        # kinked limit kernel wanders ~1% around the analytic values
+        # of a standard Gaussian truncated to [-t, t]
         norm = scipy.stats.norm
         t = norm.ppf(0.75)
         trunc = (2.0 * norm.cdf(t) - 1.0) - 2.0 * t * norm.pdf(t)
@@ -105,10 +107,43 @@ class TestFixedPoint:
         assert math.isinf(solution.q)
 
     def test_validation(self):
-        with pytest.raises(ValueError, match="order"):
-            rs_fixed_point(2.0, 10.0, MEAN_VARIANCE, order=16)
         with pytest.raises(ValueError, match="beta"):
             rs_fixed_point(2.0, -1.0, MEAN_VARIANCE)
+
+    @pytest.mark.parametrize("beta", [1.0, 16.0, 1024.0, 2.0 ** 20])
+    def test_absolute_deviation_rule_matches_adaptive_quadrature(self, beta):
+        # the eta and delta integrands near a fixed point's (q, chi). The kernel
+        # turns flat within sqrt(chi/q) of the clip points, 8e-4 at 2^20, and
+        # quad, told only of the clip points, misses that turn: its nodes next
+        # to them lie 0.03 apart and agree, and at 2^20 delta came out 7.8e-7
+        # high. So quad gets every break as a point and its own error control
+        q, chi = 2.5, 1.6 / beta
+        clip = beta * chi / math.sqrt(q) + math.sqrt(chi / q) * theory._CLIP_OFFSETS
+        breaks = np.concatenate([clip, -clip])
+        y, v = gauss_legendre_dz()(breaks)
+        kernel, _ = channel_absolute_deviation(y * math.sqrt(q), chi, beta)
+        points = breaks[np.abs(breaks) < 14.0]
+
+        def expect(f):
+            def integrand(t):
+                g = float(channel_absolute_deviation(t * math.sqrt(q), chi, beta)[0])
+                return f(t, g) * math.exp(-0.5 * t * t) / math.sqrt(2.0 * math.pi)
+            value, _ = scipy.integrate.quad(integrand, -14.0, 14.0, points=points,
+                                            epsabs=0.0, epsrel=1e-13, limit=500)
+            return value
+
+        assert v @ (y * kernel) == pytest.approx(expect(lambda t, g: t * g), rel=1e-12)
+        assert v @ (kernel * kernel) == pytest.approx(expect(lambda t, g: g * g), rel=1e-12)
+
+    @pytest.mark.parametrize("alpha", [1.5, 2.0, 3.0, 5.0])
+    def test_absolute_deviation_approaches_zero_temperature_as_beta_grows(self, alpha):
+        limit = rs_zero_temperature_ad(alpha)[0]
+        gaps = [abs(rs_fixed_point(alpha, 2.0 ** k, ABSOLUTE_DEVIATION).q - limit) / limit
+                for k in (19, 20, 25, 30)]
+        assert all(later < earlier for earlier, later in zip(gaps, gaps[1:]))
+        # the finite-temperature gap falls about as 1/beta, and at 2^19 it is
+        # still 1.28e-5 at alpha 1.5 and 1.04e-5 at 2, so the band starts at 2^20
+        assert max(gaps[1:]) <= 1e-5
 
 
 def zero_temperature_overlap_by_root(alpha):
